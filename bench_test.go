@@ -259,56 +259,6 @@ func benchName(workers int) string {
 	}
 }
 
-// BenchmarkCounting is the paired support-counting benchmark behind the
-// bitmap engine: the same mining run under the row-index-slice path and
-// the bitmap path, on a categorical-heavy workload (where level-1/2
-// candidate covers dominate and AND+popcount pays off) and on a mixed
-// workload (where SDAD-CS box recursion dominates and the bitmap engine
-// must not regress). Both engines produce bit-identical results
-// (TestCountingGoldenEquality); this benchmark is the perf contract.
-func BenchmarkCounting(b *testing.B) {
-	manuf := datagen.Manufacturing(datagen.ManufacturingConfig{
-		Seed: 9, Population: 4000, Failed: 1000, Features: 40,
-	})
-	adult, adultAttrs := ablationData()
-	workloads := []struct {
-		name string
-		d    *sdadcs.Dataset
-		cfg  core.Config
-	}{
-		{
-			// STUCCO-style run over the categorical attributes only:
-			// candidate covers and group counts are the whole cost.
-			name: "categorical-heavy",
-			d:    manuf,
-			cfg: core.Config{
-				Attrs: manuf.CategoricalAttrs(), MaxDepth: 3,
-				SkipMeaningfulFilter: true,
-			},
-		},
-		{
-			name: "mixed",
-			d:    adult,
-			cfg:  core.Config{Attrs: adultAttrs, MaxDepth: 2, SkipMeaningfulFilter: true},
-		},
-	}
-	for _, w := range workloads {
-		for _, mode := range []core.CountingMode{core.CountingSlice, core.CountingBitmap} {
-			b.Run(w.name+"/"+mode.String(), func(b *testing.B) {
-				cfg := w.cfg
-				cfg.Counting = mode
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res := core.Mine(w.d, cfg)
-					if len(res.Contrasts) == 0 {
-						b.Fatal("no contrasts")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMineCSVPipeline measures the full public-API path: CSV parse,
 // mine, classify.
 func BenchmarkMineCSVPipeline(b *testing.B) {

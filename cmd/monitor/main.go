@@ -132,7 +132,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		httpm := obs.NewHTTPMetrics()
 		mw := &obs.Middleware{Log: log.With("component", "monitor.http"), Metrics: httpm}
-		jsonHandler := sdadcs.MetricsHandler(mrec)
+		jsonHandler := func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			_ = sdadcs.WriteMetrics(w, mrec)
+		}
 		promHandler := func(w http.ResponseWriter, _ *http.Request) {
 			fams := obs.MinerFamilies("sdadcs_miner_", mrec.Snapshot())
 			fams = append(fams, obs.REDFamilies("sdadcs_http_", httpm)...)
@@ -146,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mux.Handle("GET /metrics", mw.Wrap("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Query().Get("format") {
 			case "", "json":
-				jsonHandler.ServeHTTP(w, r)
+				jsonHandler(w, r)
 			case "prometheus", "prom":
 				promHandler(w, r)
 			default:

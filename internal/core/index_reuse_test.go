@@ -14,7 +14,7 @@ func TestIndexReuseAcrossMineCalls(t *testing.T) {
 	d := datagen.Adult(datagen.AdultConfig{Seed: 11, Bachelors: 600, Doctorate: 200})
 
 	rec1 := metrics.New()
-	Mine(d, Config{MaxDepth: 2, Counting: CountingBitmap, Metrics: rec1})
+	Mine(d, Config{MaxDepth: 2, Metrics: rec1})
 	s1 := rec1.Snapshot()
 	if s1.BitmapBuilds == 0 {
 		t.Fatal("first Mine on a fresh dataset did not build the index")
@@ -28,7 +28,7 @@ func TestIndexReuseAcrossMineCalls(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		rec := metrics.New()
-		Mine(d, Config{MaxDepth: 2, Counting: CountingBitmap, Metrics: rec})
+		Mine(d, Config{MaxDepth: 2, Metrics: rec})
 		s := rec.Snapshot()
 		if s.BitmapBuilds != 0 {
 			t.Fatalf("Mine %d rebuilt the index (%d bitmaps)", i+2, s.BitmapBuilds)
@@ -50,7 +50,7 @@ func TestArenaMetricsRecorded(t *testing.T) {
 		Seed: 7, Population: 900, Failed: 250, Features: 10,
 	})
 	rec := metrics.New()
-	Mine(d, Config{MaxDepth: 3, Counting: CountingBitmap, Metrics: rec})
+	Mine(d, Config{MaxDepth: 3, Metrics: rec})
 	s := rec.Snapshot()
 	if s.ArenaFresh == 0 {
 		t.Fatal("bitmap run recorded no fresh arena allocations")

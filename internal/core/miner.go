@@ -89,21 +89,19 @@ func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incr
 		m.gate = newRemineGate(d, inc.change, m.prune, prev)
 		m.next = newRemineState(d, key)
 	}
-	if cfg.Counting.bitmap() {
-		// The per-(attr,value) bitmaps and per-group masks are cached on
-		// the dataset itself (dataset.Index): the first Mine against a
-		// dataset builds them, every later call — and every serve job
-		// sharing the registry entry — reuses them. Every candidate cover
-		// below is an intersection of these and every support count a
-		// popcount against a group mask.
-		ix, built := bitmap.Shared(d)
-		m.index = ix
-		m.arena = bitmap.NewArena(d.Rows())
-		if built {
-			m.rec.BitmapBuilds(ix.NumBitmaps())
-		} else {
-			m.rec.BitmapIndexReuse()
-		}
+	// The per-(attr,value) bitmaps and per-group masks are cached on the
+	// dataset itself (dataset.Index): the first Mine against a dataset
+	// builds them, every later call — and every serve job sharing the
+	// registry entry — reuses them. Every candidate cover below is an
+	// intersection of these and every support count a popcount against a
+	// group mask.
+	ix, built := bitmap.Shared(d)
+	m.index = ix
+	m.arena = bitmap.NewArena(d.Rows())
+	if built {
+		m.rec.BitmapBuilds(ix.NumBitmaps())
+	} else {
+		m.rec.BitmapIndexReuse()
 	}
 	attrs := cfg.Attrs
 	if attrs == nil {
@@ -170,10 +168,8 @@ func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incr
 		m.rec.TraceVolume(m.tr.Stats())
 		res.Trace = m.tr.Snapshot()
 	}
-	if m.arena != nil {
-		st := m.arena.Stats()
-		m.rec.ArenaObserve(st.Fresh, st.Reused, st.Released)
-	}
+	st := m.arena.Stats()
+	m.rec.ArenaObserve(st.Fresh, st.Reused, st.Released)
 	if m.gate != nil {
 		m.rec.RemineGate(m.gate.stable, m.gate.dirty, m.gate.redescended, m.gate.nearCross)
 	}
@@ -201,15 +197,16 @@ type miner struct {
 	table pruneTable
 	memo  *supportMemo
 	stats Stats
-	// index is the bitmap support-counting engine (nil = slice engine):
-	// one bitmap per categorical value and per group, cached on the
-	// dataset and built at most once per dataset ever (bitmap.Shared). It
-	// is immutable after construction, so per-level workers — and other
-	// concurrent Mine calls over the same dataset — share it without locks.
+	// index is the support-counting engine: one bitmap per categorical
+	// value and per group (the SciCSM representation, the paper's ref
+	// [29]), cached on the dataset and built at most once per dataset ever
+	// (bitmap.Shared). It is immutable after construction, so per-level
+	// workers — and other concurrent Mine calls over the same dataset —
+	// share it without locks.
 	index *bitmap.Index
-	// arena recycles cover word blocks across the frontier's AND cascade
-	// (bitmap engine only). Only the serial expansion step touches it;
-	// per-level workers never allocate or release covers.
+	// arena recycles cover word blocks across the frontier's AND cascade.
+	// Only the serial expansion step touches it; per-level workers never
+	// allocate or release covers.
 	arena *bitmap.Arena
 	// spare is the previous level's frontier slice, recycled as the next
 	// expand's output buffer (double-buffered levelwise frontiers).
@@ -248,13 +245,9 @@ func (m *miner) snapshot() *metrics.Snapshot {
 // node is one entry of the combination frontier: a categorical value
 // context, the rows it covers, and the continuous attributes to be
 // discretized jointly. catSet.Len() + len(contAttrs) equals the level.
-//
-// The cover is carried in exactly one representation, depending on the
-// counting engine: catCover (a row-index view, slice engine) or bits (a
-// bitmap over the row universe, bitmap engine; nil bits = all rows).
+// The cover is a bitmap over the row universe; nil bits = all rows.
 type node struct {
 	catSet    pattern.Itemset
-	catCover  dataset.View
 	bits      *bitmap.Set
 	contAttrs []int
 	lastAttr  int
@@ -274,35 +267,26 @@ type nodeOutcome struct {
 }
 
 // levelOne builds the initial frontier: one node per categorical value and
-// one per continuous attribute. With the bitmap engine, a level-1
-// categorical cover is the value's index bitmap itself (shared, never
-// mutated); the slice engine filters row views as before.
+// one per continuous attribute. A level-1 categorical cover is the value's
+// index bitmap itself (shared, never mutated); a continuous node covers
+// the full universe (nil bits).
 func (m *miner) levelOne(attrs []int) []node {
 	var out []node
 	for _, attr := range attrs {
 		if m.d.Attr(attr).Kind == dataset.Categorical {
 			for code := range m.d.Domain(attr) {
-				nd := node{
+				out = append(out, node{
 					catSet:   pattern.NewItemset(pattern.CatItem(attr, code)),
+					bits:     m.index.Value(attr, code),
 					lastAttr: attr,
-				}
-				if m.index != nil {
-					nd.bits = m.index.Value(attr, code)
-				} else {
-					nd.catCover = m.d.All().FilterCat(attr, code)
-				}
-				out = append(out, nd)
+				})
 			}
 		} else {
-			nd := node{
+			out = append(out, node{
 				catSet:    pattern.NewItemset(),
 				contAttrs: []int{attr},
 				lastAttr:  attr,
-			}
-			if m.index == nil {
-				nd.catCover = m.d.All()
-			} // bitmap engine: nil bits = full universe
-			out = append(out, nd)
+			})
 		}
 	}
 	return out
@@ -310,12 +294,11 @@ func (m *miner) levelOne(attrs []int) []node {
 
 // expand generates the next level: every surviving node extended with
 // every attribute after its last (each combination visited exactly once).
-// Under the bitmap engine a parent's categorical extensions are computed
-// by the batched sibling kernel: one fused AND+popcount pass shared by
-// every sibling code, with covers drawn from (and empty covers recycled
-// to) the arena. The slice engine keeps its row scans. Empty covers are
-// dropped either way, and a parent's own cover is recycled as soon as its
-// last child is built — unless a continuous extension aliases it.
+// A parent's categorical extensions are computed by the batched sibling
+// kernel: one fused AND+popcount pass shared by every sibling code, with
+// covers drawn from (and empty covers recycled to) the arena. Empty covers
+// are dropped, and a parent's own cover is recycled as soon as its last
+// child is built — unless a continuous extension aliases it.
 func (m *miner) expand(nodes []node, attrs []int) []node {
 	out := m.spare[:0]
 	m.spare = nil
@@ -329,8 +312,7 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 				continue
 			}
 			if m.d.Attr(attr).Kind == dataset.Categorical {
-				switch {
-				case m.index != nil && nd.bits != nil:
+				if nd.bits != nil {
 					m.rec.BitmapAnds(len(m.d.Domain(attr)))
 					m.index.ChildCovers(nd.bits, attr, m.arena,
 						func(code int, cover *bitmap.Set, count int) {
@@ -342,7 +324,7 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 								owned:     true,
 							})
 						})
-				case m.index != nil:
+				} else {
 					// Parent covers every row: each child cover is the
 					// (shared, immutable) value bitmap itself.
 					for code := range m.d.Domain(attr) {
@@ -357,19 +339,6 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 							bits:      val,
 						})
 					}
-				default:
-					for code := range m.d.Domain(attr) {
-						cover := nd.catCover.FilterCat(attr, code)
-						if cover.Len() == 0 {
-							continue
-						}
-						out = append(out, node{
-							catSet:    nd.catSet.With(pattern.CatItem(attr, code)),
-							contAttrs: nd.contAttrs,
-							lastAttr:  attr,
-							catCover:  cover,
-						})
-					}
 				}
 			} else {
 				conts := make([]int, len(nd.contAttrs), len(nd.contAttrs)+1)
@@ -380,7 +349,6 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 				}
 				out = append(out, node{
 					catSet:    nd.catSet,
-					catCover:  nd.catCover,
 					bits:      nd.bits,
 					contAttrs: conts,
 					lastAttr:  attr,
@@ -587,17 +555,12 @@ func (m *miner) evaluate(level, worker int, nd node, alpha, threshold float64) n
 	}
 }
 
-// coverView returns the node's cover as a row view. Under the bitmap
-// engine this is the lazy materialization fallback: SDAD-CS box interiors
-// need raw row indices for median computation, so a bitmap cover converts
-// to a sorted row slice exactly when (and only when) a continuous
-// combination is handed to Algorithm 1. Bitmap and slice covers enumerate
-// rows in the same ascending order, so both engines feed SDAD-CS identical
-// views.
+// coverView returns the node's cover as a row view. This is the lazy
+// materialization fallback: SDAD-CS box interiors need raw row indices for
+// median computation, so a bitmap cover converts to a sorted row slice
+// exactly when (and only when) a continuous combination is handed to
+// Algorithm 1.
 func (m *miner) coverView(nd node) dataset.View {
-	if m.index == nil {
-		return nd.catCover
-	}
 	if nd.bits == nil {
 		return m.d.All()
 	}
@@ -606,12 +569,8 @@ func (m *miner) coverView(nd node) dataset.View {
 }
 
 // groupCounts counts the node's cover per group: a popcount of the cover
-// bitmap against every group mask under the bitmap engine, a row scan
-// under the slice engine. Both count exactly the same rows.
+// bitmap against every group mask.
 func (m *miner) groupCounts(nd node) []int {
-	if m.index == nil {
-		return nd.catCover.GroupCounts()
-	}
 	if nd.bits == nil {
 		// Full-universe cover: the group masks are their own counts.
 		counts := make([]int, len(m.sizes))

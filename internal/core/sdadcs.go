@@ -46,7 +46,7 @@ type sdadRun struct {
 
 // run executes Algorithm 1 for the given categorical context and returns
 // the contrast spaces found (after bottom-up merging).
-func (r *sdadRun) run(catSet pattern.Itemset, catCover dataset.View) []pattern.Contrast {
+func (r *sdadRun) run(catSet pattern.Itemset, cover dataset.View) []pattern.Contrast {
 	r.stats.SDADCalls++
 	r.rec.SDADCall()
 	var startTS int64
@@ -55,10 +55,10 @@ func (r *sdadRun) run(catSet pattern.Itemset, catCover dataset.View) []pattern.C
 		startTS = r.tr.Now()
 		start = time.Now()
 	}
-	d := r.explore(catCover, catSet, 1, 0)
+	d := r.explore(cover, catSet, 1, 0)
 	d = r.merge(d)
 	if r.tr.Enabled() {
-		r.tr.SDAD(startTS, r.worker, catSet.Key(), catCover.Len(), time.Since(start))
+		r.tr.SDAD(startTS, r.worker, catSet.Key(), cover.Len(), time.Since(start))
 	}
 	return d
 }

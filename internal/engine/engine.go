@@ -9,8 +9,8 @@
 // shared categorical search, and Cortana-style subgroup discovery. All of
 // them ride the same substrate — the dataset-cached bitmap index, the
 // deterministic per-level worker fan-out, the metrics recorder, the trace
-// ring and the top-k list — so engine-level knobs (Counting, Workers,
-// Metrics, Trace) mean the same thing everywhere.
+// ring and the top-k list — so engine-level knobs (Workers, Metrics,
+// Trace) mean the same thing everywhere.
 //
 // Each algorithm also defines a canonical key over the Config fields that
 // affect its result, which is what the serving layer's result cache is
@@ -45,7 +45,7 @@ type Miner interface {
 	// CanonicalKey serializes the result-affecting Config fields for this
 	// algorithm, defaults resolved, in a fixed order. Fields the
 	// algorithm ignores — and fields that provably do not change its
-	// result (Workers, Counting, the observability sinks) — are excluded.
+	// result (Workers, the observability sinks) — are excluded.
 	CanonicalKey(cfg Config) string
 }
 

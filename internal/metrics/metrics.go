@@ -156,7 +156,7 @@ type Recorder struct {
 	mergeAttempts atomic.Int64
 	mergeOps      atomic.Int64
 
-	// Bitmap counting-engine counters (core.CountingBitmap path).
+	// Bitmap support-counting counters.
 	bitmapBuilds       atomic.Int64 // bitmaps constructed for the dataset-cached index
 	bitmapIndexReuses  atomic.Int64 // Mine calls that reused an already-built index
 	bitmapAndOps       atomic.Int64 // cover ∧ value-bitmap intersections

@@ -3,8 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -266,25 +264,22 @@ func TestTimerSnapshotMean(t *testing.T) {
 	}
 }
 
-func TestHandlerServesJSON(t *testing.T) {
+// TestWriteJSONSnapshot: the JSON dump carries the live recorder state.
+func TestWriteJSONSnapshot(t *testing.T) {
 	r := New()
 	r.PruneHit(PruneRedundancyCLT)
 	r.LevelObserve(1, 3, 1, 1, 1, time.Millisecond)
 
-	rr := httptest.NewRecorder()
-	Handler(r).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status = %d", rr.Code)
-	}
-	if ct := rr.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Errorf("content type = %q", ct)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, r); err != nil {
+		t.Fatal(err)
 	}
 	var s Snapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &s); err != nil {
-		t.Fatalf("body is not snapshot JSON: %v\n%s", err, rr.Body.String())
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatalf("body is not snapshot JSON: %v\n%s", err, buf.String())
 	}
 	if s.PruneHits(PruneRedundancyCLT) != 1 {
-		t.Errorf("served snapshot missing prune hit: %+v", s.Prune)
+		t.Errorf("written snapshot missing prune hit: %+v", s.Prune)
 	}
 	if s.UptimeNanos <= 0 {
 		t.Errorf("uptime = %d, want > 0", s.UptimeNanos)
@@ -299,30 +294,6 @@ func TestWriteJSONNilRecorder(t *testing.T) {
 	var s Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
 		t.Fatalf("nil recorder JSON invalid: %v", err)
-	}
-}
-
-func TestPublishIdempotent(t *testing.T) {
-	r := New()
-	if !Publish("sdadcs_test_metrics", r) {
-		t.Error("first Publish must register and report true")
-	}
-	if expvar.Get("sdadcs_test_metrics") == nil {
-		t.Fatal("recorder not visible in the expvar registry")
-	}
-	// A duplicate name must not panic (expvar.Publish would) and must
-	// report false so callers can tell the name was already taken.
-	if Publish("sdadcs_test_metrics", New()) {
-		t.Error("second Publish under the same name must report false")
-	}
-	// The registry still serves the first recorder.
-	r.PruneHit(PruneMinDeviation)
-	var got Snapshot
-	if err := json.Unmarshal([]byte(expvar.Get("sdadcs_test_metrics").String()), &got); err != nil {
-		t.Fatalf("published snapshot is not JSON: %v", err)
-	}
-	if got.PruneHits(PruneMinDeviation) != 1 {
-		t.Errorf("published var is not the first recorder: %+v", got.Prune)
 	}
 }
 

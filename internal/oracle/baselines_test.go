@@ -23,7 +23,7 @@ var measureCycle = []pattern.Measure{
 }
 
 // TestOracleSTUCCO holds production STUCCO to the transliterated reference
-// (exact, both counting engines, counters, top-k prefix) and runs its
+// (exact, counters, top-k prefix) and runs its
 // metamorphic battery at every seed.
 func TestOracleSTUCCO(t *testing.T) {
 	seeds := seedCount(t, 50)
@@ -37,7 +37,7 @@ func TestOracleSTUCCO(t *testing.T) {
 		// top-100, so a small k is what actually exercises truncation.
 		failDivergences(t, seed, shape, CheckSTUCCO(d, stucco.Config{Measure: measure, TopK: 3}))
 
-		exact := stucco.Config{Measure: measure, TopK: stucco.TopKUnbounded, Workers: 1, SliceCounting: true}
+		exact := stucco.Config{Measure: measure, TopK: stucco.TopKUnbounded, Workers: 1}
 		failDivergences(t, seed, shape, CheckSTUCCOBitEquality(d, exact, seed+1))
 		failDivergences(t, seed, shape, CheckSTUCCOReorder(d, exact))
 		failDivergences(t, seed, shape, CheckSTUCCODuplication(d, exact, 2))
@@ -63,7 +63,7 @@ func TestOracleSubgroup(t *testing.T) {
 		failDivergences(t, seed, shape, CheckSubgroup(d,
 			subgroup.Config{Measure: measure, BeamWidth: 3, TopK: 5, Depth: 3}))
 
-		exact := subgroup.Config{Measure: measure, TopK: subgroup.TopKUnbounded, Workers: 1, SliceCounting: true}
+		exact := subgroup.Config{Measure: measure, TopK: subgroup.TopKUnbounded, Workers: 1}
 		failDivergences(t, seed, shape, CheckSubgroupBitEquality(d, exact, seed+1))
 		failDivergences(t, seed, shape, CheckSubgroupReorder(d, exact))
 		failDivergences(t, seed, shape, CheckSubgroupDuplication(d, exact, 2))

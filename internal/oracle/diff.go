@@ -33,15 +33,14 @@ const maxReport = 12
 // ExactConfig is the production configuration under which the miner must
 // reproduce the oracle bit for bit: every pruning rule off, no result
 // bound (TopKUnbounded keeps the dynamic threshold at −Inf, so the
-// optimistic-estimate recursion gate never fires), serial slice counting,
-// no meaningfulness filter, and the conservative OE mode (irrelevant with
+// optimistic-estimate recursion gate never fires), serial counting on the
+// production bitmap engine, no meaningfulness filter, and the conservative OE mode (irrelevant with
 // the gate disarmed, but it keeps the config honest about admissibility).
 func ExactConfig() core.Config {
 	noPrune := core.Pruning{}
 	return core.Config{
 		TopK:                 core.TopKUnbounded,
 		Workers:              1,
-		Counting:             core.CountingSlice,
 		OEMode:               core.OEModeConservative,
 		Pruning:              &noPrune,
 		SkipMeaningfulFilter: true,

@@ -43,8 +43,8 @@
 // under the full default configuration every emitted pattern recounts,
 // rescores and passes its gates. transform.go adds the metamorphic layer:
 // row permutation, group relabeling, duplicate-row scaling and column
-// reordering, plus bit-equality across counting engines, worker counts and
-// instrumentation on/off.
+// reordering, plus bit-equality across worker counts and instrumentation
+// on/off.
 //
 // Run the tier with:
 //

@@ -53,7 +53,7 @@ func TestOracleDifferential(t *testing.T) {
 }
 
 // TestOracleMetamorphic runs the transformation batteries: bit-equality
-// across engines/workers/instrumentation/row order, canonical equality
+// across workers/instrumentation/row order, canonical equality
 // under group relabeling and column reordering, and the ×2 row-duplication
 // scaling relation. The batteries run under the exhaustive configuration
 // (deterministic, unbounded) and the bit-equality battery additionally

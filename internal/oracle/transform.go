@@ -20,7 +20,6 @@ import (
 //
 // Bit-equality relations (nothing about the problem changes):
 //   - row permutation (the search never depends on row order),
-//   - counting engine (bitmap vs slice),
 //   - worker count (1 vs 8),
 //   - instrumentation (metrics/trace attached vs nil).
 //
@@ -144,9 +143,9 @@ func mineFor(check string, d *dataset.Dataset, cfg core.Config) ([]pattern.Contr
 }
 
 // CheckBitEquality runs the production miner under every configuration
-// pair that must not change a single bit of the result: bitmap vs slice
-// counting, one worker vs eight, instrumentation attached vs nil, and the
-// original dataset vs a row permutation.
+// pair that must not change a single bit of the result: one worker vs
+// eight, instrumentation attached vs nil, and the original dataset vs a
+// row permutation.
 func CheckBitEquality(d *dataset.Dataset, cfg core.Config, seed int64) []Divergence {
 	base, div := mineFor("bit-equality", d, cfg)
 	if div != nil {
@@ -164,13 +163,6 @@ func CheckBitEquality(d *dataset.Dataset, cfg core.Config, seed int64) []Diverge
 		}
 		div = append(div, diffContrastLists(check, got, base)...)
 	}
-	variant("engine-slice-vs-bitmap", d, func(c *core.Config) {
-		if c.Counting == core.CountingSlice {
-			c.Counting = core.CountingBitmap
-		} else {
-			c.Counting = core.CountingSlice
-		}
-	})
 	variant("workers-8-vs-1", d, func(c *core.Config) { c.Workers = 8 })
 	variant("instrumentation-on-vs-off", d, func(c *core.Config) {
 		c.Metrics = metrics.New()

@@ -46,11 +46,9 @@ type ConfigRequest struct {
 	// (default diff) — the pattern measure registry's wire names.
 	Measure string `json:"measure,omitempty"`
 	// OEMode: paper | conservative (default paper).
-	OEMode string `json:"oe_mode,omitempty"`
-	// Counting: auto | bitmap | slice (default auto).
-	Counting string `json:"counting,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	DFS      bool   `json:"dfs,omitempty"`
+	OEMode  string `json:"oe_mode,omitempty"`
+	Workers int    `json:"workers,omitempty"`
+	DFS     bool   `json:"dfs,omitempty"`
 	// NP selects the no-pruning paper variant (core.Config.NP).
 	NP bool `json:"np,omitempty"`
 	// SkipMeaningfulFilter disables the final meaningfulness filter.
@@ -79,7 +77,7 @@ type JobRequest struct {
 }
 
 // toConfig resolves the wire configuration against a dataset schema.
-// Vocabulary failures (measure, oe_mode, counting, attrs) are typed
+// Vocabulary failures (measure, oe_mode, attrs) are typed
 // *core.FieldErrors so the error envelope names the offending field; the
 // engine's own Validate covers everything numeric.
 func (cr ConfigRequest) toConfig(d *dataset.Dataset) (engine.Config, error) {
@@ -119,17 +117,6 @@ func (cr ConfigRequest) toConfig(d *dataset.Dataset) (engine.Config, error) {
 	default:
 		return cfg, &core.FieldError{Field: "oe_mode", Value: cr.OEMode,
 			Reason: "unknown oe_mode; paper or conservative"}
-	}
-	switch cr.Counting {
-	case "", "auto":
-		cfg.Counting = core.CountingAuto
-	case "bitmap":
-		cfg.Counting = core.CountingBitmap
-	case "slice":
-		cfg.Counting = core.CountingSlice
-	default:
-		return cfg, &core.FieldError{Field: "counting", Value: cr.Counting,
-			Reason: "unknown counting; auto, bitmap or slice"}
 	}
 	for _, name := range cr.Attrs {
 		idx := d.AttrIndex(name)

@@ -17,7 +17,7 @@ func TestIndexBuiltOncePerDatasetHash(t *testing.T) {
 	for i, topk := range []int{5, 7, 9, 11} {
 		st, code, body := c.submit(map[string]any{
 			"dataset_id": dsID,
-			"config":     map[string]any{"counting": "bitmap", "top_k": topk},
+			"config":     map[string]any{"top_k": topk},
 		})
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, code, body)
@@ -55,7 +55,7 @@ func TestIndexBuiltOncePerDatasetHash(t *testing.T) {
 	}
 	st, _, _ := c.submit(map[string]any{
 		"dataset_id": dsID,
-		"config":     map[string]any{"counting": "bitmap", "top_k": 13},
+		"config":     map[string]any{"top_k": 13},
 	})
 	c.waitState(st.ID, JobDone, 10*time.Second)
 	if got := ds.Index().Builds(); got != 1 {

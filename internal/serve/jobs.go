@@ -81,6 +81,10 @@ type Job struct {
 	rec      *metrics.Recorder // live while running
 	tr       *trace.Tracer     // live while running
 	out      *mineOutput       // set when done
+	// final is the trace frozen at a terminal state the output does not
+	// carry one for (failed and canceled runs), so the live ring can be
+	// released.
+	final *trace.Trace
 }
 
 // JobProgress is the live view of a running mine, distilled from the
@@ -187,14 +191,18 @@ func (j *Job) Output() (*mineOutput, JobState, error) {
 	return j.out, j.state, j.err
 }
 
-// TraceSnapshot returns the decision trace: the final snapshot for done
-// jobs, a live snapshot for running ones, nil before the job started.
+// TraceSnapshot returns the decision trace: the final snapshot for
+// finished jobs, a live snapshot for running ones, nil before the job
+// started.
 func (j *Job) TraceSnapshot() *trace.Trace {
 	j.mu.Lock()
-	out, tr := j.out, j.tr
+	out, final, tr := j.out, j.final, j.tr
 	j.mu.Unlock()
 	if out != nil && out.Trace != nil {
 		return out.Trace
+	}
+	if final != nil {
+		return final
 	}
 	if tr != nil {
 		return tr.Snapshot() // lock-free ring: safe while mining
@@ -241,6 +249,12 @@ func (j *Job) finish(out *mineOutput, err error, c *counters) {
 	}
 	j.finished = time.Now().UTC()
 	j.rec = nil
+	if j.tr != nil && (out == nil || out.Trace == nil) {
+		// The mine has returned, so the ring is quiescent: freezing it
+		// now serves the same events the live ring would.
+		j.final = j.tr.Snapshot()
+	}
+	j.tr = nil // a retained job must not pin the tracer's ring
 	switch {
 	case err == nil:
 		j.state = JobDone

@@ -384,8 +384,9 @@ func TestResultCacheHit(t *testing.T) {
 	_, res1 := c.do("GET", "/v1/jobs/"+first.ID+"/result", nil)
 	base := c.metrics()
 
-	// Same semantics, different wire spelling (workers and counting are
-	// excluded from the canonical key — they cannot change the result).
+	// Same semantics, different wire spelling (workers is excluded from
+	// the canonical key — it cannot change the result — and the retired
+	// counting field is ignored).
 	second, code, body := c.submit(map[string]any{
 		"dataset_id": dsID,
 		"config":     map[string]any{"workers": 4, "counting": "slice"},
@@ -530,10 +531,9 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 
 	for name, cfg := range map[string]map[string]any{
-		"bad measure":  {"measure": "zscore"},
-		"bad oe_mode":  {"oe_mode": "wild"},
-		"bad counting": {"counting": "gpu"},
-		"bad attr":     {"attrs": []string{"no_such_column"}},
+		"bad measure": {"measure": "zscore"},
+		"bad oe_mode": {"oe_mode": "wild"},
+		"bad attr":    {"attrs": []string{"no_such_column"}},
 	} {
 		if _, code, _ := c.submit(map[string]any{"dataset_id": dsID, "config": cfg}); code != http.StatusBadRequest {
 			t.Fatalf("%s: %d, want 400", name, code)
@@ -546,6 +546,32 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 	if code, _ := c.do("POST", "/v1/datasets", map[string]any{"csv": "a,g\n1,x\n"}); code != http.StatusBadRequest {
 		t.Fatalf("register without group_column: %d", code)
+	}
+}
+
+// TestRetiredCountingFieldIgnored: the "counting" config field selected
+// a support-counting engine that no longer exists. Clients that still send
+// it, with any value, are accepted, and the field does not change the
+// config hash.
+func TestRetiredCountingFieldIgnored(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 1})
+	dsID := c.register(smallCSV)
+	plain, code, body := c.submit(map[string]any{
+		"dataset_id": dsID, "config": map[string]any{"top_k": 7},
+	})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	for _, counting := range []string{"auto", "bitmap", "slice", "gpu"} {
+		st, code, body := c.submit(map[string]any{
+			"dataset_id": dsID, "config": map[string]any{"top_k": 7, "counting": counting},
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("counting %q: %d %s, want 202", counting, code, body)
+		}
+		if st.ConfigHash != plain.ConfigHash {
+			t.Errorf("counting %q: config hash %s, want %s", counting, st.ConfigHash, plain.ConfigHash)
+		}
 	}
 }
 

@@ -133,46 +133,102 @@ func stableTraceConfig(rec *metrics.Recorder, fullOnly bool) Config {
 	}
 }
 
-// TestIncrementalRemineStableRegime drives the aligned cyclic trace with
-// a perturbation confined to machine m2's temperature readings: the
+// toolStationRow returns row i of the aligned period-8 trace with two
+// more categorical attributes (tool, station). Machine m2's rows carry
+// their own tool (t4) and station (s2) values, and only m2's temperature
+// drifts, with period 7 — coprime to the window/cadence alignment, so
+// consecutive windows always differ in m2's readings (the dirty subtree)
+// and nowhere else. The rest of the categorical lattice stays provably
+// untouched, the shape real stable regimes have.
+func toolStationRow(i int) ([]float64, []string, string) {
+	tools := [8]string{"t0", "t1", "t2", "t3", "t4", "t4", "t0", "t2"}
+	stations := [8]string{"s0", "s0", "s1", "s1", "s2", "s2", "s3", "s3"}
+	cont, cat, group := cyclicRow(i, func(i int, machine string, cont []float64) {
+		if machine == "m2" {
+			cont[0] += 0.25 * float64(i%7)
+		}
+	})
+	return cont, append(cat, tools[i%8], stations[i%8]), group
+}
+
+// TestIncrementalRemineStableRegime drives aligned cyclic traces whose
+// perturbation is confined to machine m2's temperature readings: the
 // incremental monitor must stay bit-identical to the full one while
 // provably replaying the untouched part of the frontier (stable nodes
-// recorded, node evaluations saved).
+// recorded, node evaluations saved). On the four-attribute trace the
+// full monitor must evaluate at least 1.5× the nodes the incremental one
+// does; node evaluation counts are deterministic for a trace.
 func TestIncrementalRemineStableRegime(t *testing.T) {
-	recInc, recFull := metrics.New(), metrics.New()
-	mk := func(rec *metrics.Recorder, fullOnly bool) *Monitor {
-		m, err := NewMonitor(testSchema(), stableTraceConfig(rec, fullOnly))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	cases := []struct {
+		name    string
+		schema  Schema
+		appends int
+		row     func(i int) ([]float64, []string, string)
+		// minRatio bounds full/incremental node evaluations from below;
+		// 0 only requires the incremental monitor to evaluate fewer.
+		minRatio float64
+	}{
+		{
+			name:    "machine-shift",
+			schema:  testSchema(),
+			appends: 400,
+			row: func(i int) ([]float64, []string, string) {
+				return cyclicRow(i, func(i int, machine string, cont []float64) {
+					if machine == "m2" {
+						cont[0] += 0.25 * float64(i%5) // drifts between windows
+					}
+				})
+			},
+		},
+		{
+			name: "machine-shift-tool-station",
+			schema: Schema{
+				Name:        "line",
+				Continuous:  []string{"temp", "pressure"},
+				Categorical: []string{"machine", "shift", "tool", "station"},
+			},
+			appends:  960,
+			row:      toolStationRow,
+			minRatio: 1.5,
+		},
 	}
-	inc, full := mk(recInc, false), mk(recFull, true)
-	perturb := func(i int, machine string, cont []float64) {
-		if machine == "m2" {
-			cont[0] += 0.25 * float64(i%5) // drifts between windows
-		}
-	}
-	driveLockstep(t, 0, inc, full, 400, func(i int) ([]float64, []string, string) {
-		return cyclicRow(i, perturb)
-	})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recInc, recFull := metrics.New(), metrics.New()
+			mk := func(rec *metrics.Recorder, fullOnly bool) *Monitor {
+				m, err := NewMonitor(tc.schema, stableTraceConfig(rec, fullOnly))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			inc, full := mk(recInc, false), mk(recFull, true)
+			driveLockstep(t, 0, inc, full, tc.appends, tc.row)
 
-	si, sf := recInc.Snapshot(), recFull.Snapshot()
-	if si.GateStableNodes == 0 {
-		t.Fatalf("aligned trace replayed nothing: stable=%d dirty=%d", si.GateStableNodes, si.GateDirtyNodes)
-	}
-	if si.GateDirtyNodes == 0 {
-		t.Fatal("perturbed trace recorded no dirty nodes")
-	}
-	if si.ReminesInc == 0 || si.ReminesFull != 0 {
-		t.Fatalf("incremental monitor modes: inc=%d full=%d", si.ReminesInc, si.ReminesFull)
-	}
-	if sf.ReminesFull == 0 || sf.ReminesInc != 0 {
-		t.Fatalf("full monitor modes: inc=%d full=%d", sf.ReminesInc, sf.ReminesFull)
-	}
-	if si.NodeEval.Count >= sf.NodeEval.Count {
-		t.Fatalf("incremental path saved no node evaluations: %d vs %d",
-			si.NodeEval.Count, sf.NodeEval.Count)
+			si, sf := recInc.Snapshot(), recFull.Snapshot()
+			if si.GateStableNodes == 0 {
+				t.Fatalf("aligned trace replayed nothing: stable=%d dirty=%d", si.GateStableNodes, si.GateDirtyNodes)
+			}
+			if si.GateDirtyNodes == 0 {
+				t.Fatal("perturbed trace recorded no dirty nodes")
+			}
+			if si.ReminesInc == 0 || si.ReminesFull != 0 {
+				t.Fatalf("incremental monitor modes: inc=%d full=%d", si.ReminesInc, si.ReminesFull)
+			}
+			if sf.ReminesFull == 0 || sf.ReminesInc != 0 {
+				t.Fatalf("full monitor modes: inc=%d full=%d", sf.ReminesInc, sf.ReminesFull)
+			}
+			if si.NodeEval.Count >= sf.NodeEval.Count {
+				t.Fatalf("incremental path saved no node evaluations: %d vs %d",
+					si.NodeEval.Count, sf.NodeEval.Count)
+			}
+			ratio := float64(sf.NodeEval.Count) / float64(si.NodeEval.Count)
+			t.Logf("node evaluations: full %d, incremental %d (%.2fx)",
+				sf.NodeEval.Count, si.NodeEval.Count, ratio)
+			if ratio < tc.minRatio {
+				t.Fatalf("full/incremental node evaluations %.2f < %.2f", ratio, tc.minRatio)
+			}
+		})
 	}
 }
 

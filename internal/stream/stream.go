@@ -513,7 +513,7 @@ func (m *Monitor) remine() ([]Event, error) {
 		m.skipped++
 		return nil, ErrWindowNotMineable
 	}
-	if m.delta != nil && m.cfg.Mining.Counting != core.CountingSlice {
+	if m.delta != nil {
 		// Seed the snapshot's index slot with the delta-maintained index —
 		// bit-identical to the rebuild bitmap.Shared would otherwise pay
 		// for — so the mining engine finds it already built.

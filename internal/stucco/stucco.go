@@ -14,11 +14,9 @@
 // is just a categorical value.
 //
 // The search rides the same engine substrate as the core miner: support
-// counting runs on the dataset-cached bitmap index by default (with the
-// row-slice path selectable for paired benchmarks and the differential
-// oracle's bit-equality battery), levels fan out over Workers goroutines
-// with a deterministic merge, and the metrics recorder and trace ring
-// receive the same per-level/per-rule instrumentation.
+// counting runs on the dataset-cached bitmap index, levels fan out over
+// Workers goroutines with a deterministic merge, and the metrics recorder
+// and trace ring receive the same per-level/per-rule instrumentation.
 package stucco
 
 import (
@@ -62,11 +60,6 @@ type Config struct {
 	// merged deterministically, so any worker count is bit-identical to the
 	// serial search.
 	Workers int
-	// SliceCounting selects the row-index-slice counting path instead of
-	// the shared bitmap index. Both engines produce identical results
-	// (asserted by the golden-equality tests); the knob exists for paired
-	// benchmarks and the oracle's engine-swap battery.
-	SliceCounting bool
 	// Metrics, when non-nil, receives per-level node counts and wall
 	// times, per-rule prune hits and top-k threshold updates. nil disables
 	// instrumentation at one pointer check per site.
@@ -110,14 +103,12 @@ type Result struct {
 }
 
 // node is a surviving search-tree entry: an itemset, the rows it covers
-// (as a bitmap intersection + popcount, as in SciCSM, or as a row-index
-// slice on the slice path), and the highest attribute used (children only
-// append later attributes, which enumerates each attribute set exactly
-// once — the Figure 1 order).
+// (a bitmap intersection, counted by popcount as in SciCSM), and the
+// highest attribute used (children only append later attributes, which
+// enumerates each attribute set exactly once — the Figure 1 order).
 type node struct {
 	set      pattern.Itemset
-	bits     *bitmap.Set // bitmap engine cover (nil on the slice path)
-	rows     []int       // slice engine cover (nil on the bitmap path)
+	bits     *bitmap.Set
 	supports pattern.Supports
 	lastAttr int
 }
@@ -126,7 +117,7 @@ type node struct {
 type miner struct {
 	d         *dataset.Dataset
 	cfg       Config
-	idx       *bitmap.Index // nil on the slice path
+	idx       *bitmap.Index
 	attrs     []int
 	sizes     []int
 	totalRows int
@@ -168,22 +159,16 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 		rec:       cfg.Metrics,
 		tr:        cfg.Trace,
 	}
-	root := node{set: pattern.NewItemset(), lastAttr: -1}
-	if cfg.SliceCounting {
-		root.rows = allRows(d)
+	// Ride the dataset-cached index: a STUCCO baseline run over a dataset
+	// the levelwise miner already indexed (or vice versa) pays no rebuild.
+	var built bool
+	m.idx, built = bitmap.Shared(d)
+	if built {
+		m.rec.BitmapBuilds(m.idx.NumBitmaps())
 	} else {
-		// Ride the dataset-cached index: a STUCCO baseline run over a
-		// dataset the levelwise miner already indexed (or vice versa) pays
-		// no rebuild.
-		var built bool
-		m.idx, built = bitmap.Shared(d)
-		if built {
-			m.rec.BitmapBuilds(m.idx.NumBitmaps())
-		} else {
-			m.rec.BitmapIndexReuse()
-		}
-		root.bits = m.idx.All()
+		m.rec.BitmapIndexReuse()
 	}
+	root := node{set: pattern.NewItemset(), bits: m.idx.All(), lastAttr: -1}
 	schedule := stats.NewBonferroniSchedule(cfg.Alpha)
 
 	frontier := m.expandAll([]node{root})
@@ -343,9 +328,8 @@ func (m *miner) expandAll(parents []node) []node {
 }
 
 // children extends one node with every value of every attribute strictly
-// after its last attribute. On the bitmap path covers are bitmap
-// intersections and supports are popcounts against the group masks; on the
-// slice path covers are filtered row slices.
+// after its last attribute: covers are bitmap intersections and supports
+// are popcounts against the group masks.
 func (m *miner) children(nd node) []node {
 	var out []node
 	for _, attr := range m.attrs {
@@ -354,45 +338,22 @@ func (m *miner) children(nd node) []node {
 		}
 		domain := m.d.Domain(attr)
 		for code := range domain {
-			var child node
-			var counts []int
+			cover := nd.bits.And(m.idx.Value(attr, code))
+			counts := m.idx.GroupCounts(cover)
 			total := 0
-			if m.idx != nil {
-				cover := nd.bits.And(m.idx.Value(attr, code))
-				counts = m.idx.GroupCounts(cover)
-				for _, c := range counts {
-					total += c
-				}
-				child.bits = cover
-			} else {
-				var rows []int
-				counts = make([]int, len(m.sizes))
-				for _, r := range nd.rows {
-					if m.d.CatCode(attr, r) == code {
-						rows = append(rows, r)
-						counts[m.d.Group(r)]++
-						total++
-					}
-				}
-				child.rows = rows
+			for _, c := range counts {
+				total += c
 			}
 			if total == 0 {
 				continue
 			}
-			child.set = nd.set.With(pattern.CatItem(attr, code))
-			child.supports = pattern.CountsToSupports(counts, m.sizes)
-			child.lastAttr = attr
-			out = append(out, child)
+			out = append(out, node{
+				set:      nd.set.With(pattern.CatItem(attr, code)),
+				bits:     cover,
+				supports: pattern.CountsToSupports(counts, m.sizes),
+				lastAttr: attr,
+			})
 		}
 	}
 	return out
-}
-
-// allRows enumerates every row index (the slice path's root cover).
-func allRows(d *dataset.Dataset) []int {
-	rows := make([]int, d.Rows())
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }

@@ -3,7 +3,6 @@ package sdadcs
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"sdadcs/internal/core"
 	"sdadcs/internal/dataset"
@@ -11,7 +10,6 @@ import (
 	"sdadcs/internal/metrics"
 	"sdadcs/internal/mvd"
 	"sdadcs/internal/pattern"
-	"sdadcs/internal/qar"
 	"sdadcs/internal/report"
 	"sdadcs/internal/stream"
 	"sdadcs/internal/stucco"
@@ -61,8 +59,6 @@ type (
 	Validation = core.Validation
 	// OEMode selects the optimistic-estimate variant.
 	OEMode = core.OEMode
-	// CountingMode selects the support-counting engine (bitmap or slice).
-	CountingMode = core.CountingMode
 
 	// MetricsRecorder is the concurrency-safe instrumentation sink the
 	// miner, top-k list and stream monitor report into when
@@ -134,17 +130,6 @@ const (
 	OEModeConservative = core.OEModeConservative
 )
 
-// Support-counting engines (Config.Counting). Both produce identical
-// results; the knob exists for A/B benchmarking.
-const (
-	// CountingAuto (default) resolves to the bitmap engine.
-	CountingAuto = core.CountingAuto
-	// CountingBitmap counts supports with per-value bitmaps + popcounts.
-	CountingBitmap = core.CountingBitmap
-	// CountingSlice is the original row-index-slice path.
-	CountingSlice = core.CountingSlice
-)
-
 // NewBuilder starts building a dataset.
 func NewBuilder(name string) *Builder { return dataset.NewBuilder(name) }
 
@@ -176,12 +161,9 @@ func Mine(d *Dataset, cfg Config) Result { return core.Mine(d, cfg) }
 // live counters, then read Result.Metrics or call WriteMetrics.
 func NewMetricsRecorder() *MetricsRecorder { return metrics.New() }
 
-// WriteMetrics dumps a recorder's snapshot as indented, expvar-style JSON.
+// WriteMetrics dumps a recorder's snapshot as indented JSON. Safe to call
+// while mining is in progress: the snapshot is built from atomic loads.
 func WriteMetrics(w io.Writer, r *MetricsRecorder) error { return metrics.WriteJSON(w, r) }
-
-// MetricsHandler serves a recorder's snapshot as JSON — mount it on any
-// mux for a live metrics endpoint (cmd/monitor -metrics does this).
-func MetricsHandler(r *MetricsRecorder) http.Handler { return metrics.Handler(r) }
 
 // NewTracer returns an enabled decision tracer with the given event
 // capacity (0 = the 65536-event default); assign it to Config.Trace
@@ -250,8 +232,6 @@ type (
 	MVDConfig = mvd.Config
 	// SubgroupConfig configures Cortana-style subgroup discovery.
 	SubgroupConfig = subgroup.Config
-	// QARConfig configures the Srikant–Agrawal equi-depth discretizer.
-	QARConfig = qar.Config
 )
 
 // MineSTUCCO mines contrast sets over the categorical attributes only
@@ -287,14 +267,6 @@ func Algorithms() []string { return engine.Algorithms() }
 // interval conditions), pooling subgroups from every target group.
 func MineSubgroups(d *Dataset, cfg SubgroupConfig) []Contrast {
 	return subgroup.Mine(d, cfg).Contrasts
-}
-
-// MineQAR discretizes with Srikant & Agrawal's equi-depth partitioning
-// (consecutive partitions below minsup merged) and mines the binned data —
-// the quantitative-association-rules approach the paper's §2 discusses.
-func MineQAR(d *Dataset, cfg QARConfig, search STUCCOConfig) ([]Contrast, *Dataset) {
-	res := qar.Mine(d, cfg, search)
-	return res.Contrasts, res.Binned
 }
 
 // Discretized applies cut points to continuous attributes, yielding a

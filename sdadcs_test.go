@@ -100,15 +100,6 @@ func TestPublicAPIBaselines(t *testing.T) {
 	if mres.Binned == nil {
 		t.Fatal("MVD baseline returned no binned dataset")
 	}
-	// Partitions=2 keeps each bin's expected cell count above the
-	// chi-square validity floor on this 24-row sample.
-	qcs, qbinned := sdadcs.MineQAR(d, sdadcs.QARConfig{Partitions: 2}, sdadcs.STUCCOConfig{})
-	if qbinned == nil {
-		t.Fatal("QAR baseline returned no binned dataset")
-	}
-	if len(qcs) == 0 {
-		t.Error("QAR baseline found nothing on separable data")
-	}
 }
 
 func TestPublicAPIClassify(t *testing.T) {
