@@ -21,91 +21,20 @@ type DeltaIndex struct {
 	n    int // universe: ring positions 0..n-1
 	cats []map[string]*Set
 	grps map[string]*Set
-
-	// Support-delta summary: accumulated between re-mines and consumed by
-	// the incremental re-evaluation gate (core.MineIncremental). rows
-	// counts window positions whose row content changed since the last
-	// ResetSummary; touched[col][value] counts, per categorical column,
-	// the changed positions whose old or new row carried value — a value
-	// with zero touches provably has an unchanged cover *content* (the
-	// same multiset of full rows), which is what lets the gate carry a
-	// pattern's counts and scores forward bit-identically.
-	rows    int
-	touched []map[string]int
 }
 
 // NewDeltaIndex builds an empty delta index over n ring positions,
 // tracking catCols categorical columns plus the group column.
 func NewDeltaIndex(n, catCols int) *DeltaIndex {
 	di := &DeltaIndex{
-		n:       n,
-		cats:    make([]map[string]*Set, catCols),
-		grps:    make(map[string]*Set),
-		touched: make([]map[string]int, catCols),
+		n:    n,
+		cats: make([]map[string]*Set, catCols),
+		grps: make(map[string]*Set),
 	}
 	for i := range di.cats {
 		di.cats[i] = make(map[string]*Set)
-		di.touched[i] = make(map[string]int)
 	}
 	return di
-}
-
-// DeltaSummary reports the accumulated change since the last ResetSummary:
-// how many window positions changed at all, and per categorical column how
-// many of those changes involve each value (counting a value once per
-// changed position it appears in, old row or new). It is the
-// delta-index-to-support-delta translation the incremental re-mine gate
-// consumes: Cats[col][v] == 0 (or absent) proves that no row carrying v
-// entered, left, or mutated, so every support count conditioned on v is
-// unchanged.
-type DeltaSummary struct {
-	// RowsTouched is the number of position updates whose row content
-	// changed (same position updated twice counts twice — the summary is
-	// conservative, never an undercount).
-	RowsTouched int
-	// Cats[col] maps a categorical value to its touched count.
-	Cats []map[string]int
-}
-
-// Touch records that a window position's row content changed: oldCat holds
-// the departing row's categorical values (nil while the window is still
-// filling), newCat the arriving row's. Every value the position carried
-// before or after is marked touched — including values that did not
-// themselves change, because the *row* behind their set bit did (a
-// different group label, a shifted continuous reading). The caller decides
-// what "changed" means; the stream monitor compares the full row (float
-// bits, categorical values, group label).
-func (di *DeltaIndex) Touch(oldCat, newCat []string) {
-	di.rows++
-	for col := range di.touched {
-		if oldCat != nil && oldCat[col] != newCat[col] {
-			di.touched[col][oldCat[col]]++
-		}
-		di.touched[col][newCat[col]]++
-	}
-}
-
-// Summary returns a copy of the accumulated change summary.
-func (di *DeltaIndex) Summary() DeltaSummary {
-	s := DeltaSummary{RowsTouched: di.rows, Cats: make([]map[string]int, len(di.touched))}
-	for col, m := range di.touched {
-		out := make(map[string]int, len(m))
-		for v, n := range m {
-			out[v] = n
-		}
-		s.Cats[col] = out
-	}
-	return s
-}
-
-// ResetSummary clears the accumulated summary — called after a re-mine
-// consumed it, so the next summary describes exactly the changes since
-// that window.
-func (di *DeltaIndex) ResetSummary() {
-	di.rows = 0
-	for col := range di.touched {
-		clear(di.touched[col])
-	}
 }
 
 // set returns the bitmap for value in m, creating it on first sight. A

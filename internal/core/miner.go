@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -34,34 +33,8 @@ func Mine(d *dataset.Dataset, cfg Config) Result {
 // cancelled. A partial result is still sorted and, unless disabled,
 // filtered.
 func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, error) {
-	res, _, err := mineInternal(ctx, d, cfg, nil)
-	return res, err
-}
-
-// MineIncremental is Mine over a sliding window: prev is the state
-// captured by the previous call over the same window (nil on the first
-// mine or after any structural change), change describes what changed in
-// the dataset since — see ChangeSummary for the truthfulness contract.
-// Node outcomes the change summary proves unchanged are replayed from
-// prev instead of re-evaluated; the result is bit-identical to Mine (same
-// patterns, counts, scores, χ², tie-breaks), only Result.Metrics'
-// evaluation counts differ. The returned state feeds the next call; it is
-// nil when no state could be captured (DFS mode, invalid config).
-func MineIncremental(d *dataset.Dataset, cfg Config, prev *RemineState, change ChangeSummary) (Result, *RemineState) {
-	res, next, _ := mineInternal(context.Background(), d, cfg, &incrementalArgs{prev: prev, change: change})
-	return res, next
-}
-
-// incrementalArgs marks a mineInternal call as incremental; a nil pointer
-// is a plain full mine with no state capture.
-type incrementalArgs struct {
-	prev   *RemineState
-	change ChangeSummary
-}
-
-func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incrementalArgs) (Result, *RemineState, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	cfg.defaults()
 	m := &miner{
@@ -75,19 +48,6 @@ func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incr
 		memo:  newSupportMemo(d),
 		rec:   cfg.Metrics,
 		tr:    cfg.Trace,
-	}
-	if inc != nil && !cfg.DFS {
-		// Incremental re-mine: fingerprint the previous state against this
-		// dataset + config; on mismatch the gate still counts (everything
-		// dirty) and a fresh state is captured for the next window either
-		// way. DFS has no levelwise frontier to replay, so it opts out.
-		key := cfg.CanonicalKey()
-		prev := inc.prev
-		if !prev.matches(d, key) {
-			prev = nil
-		}
-		m.gate = newRemineGate(d, inc.change, m.prune, prev)
-		m.next = newRemineState(d, key)
 	}
 	// The per-(attr,value) bitmaps and per-group masks are cached on the
 	// dataset itself (dataset.Index): the first Mine against a dataset
@@ -170,16 +130,8 @@ func mineInternal(ctx context.Context, d *dataset.Dataset, cfg Config, inc *incr
 	}
 	st := m.arena.Stats()
 	m.rec.ArenaObserve(st.Fresh, st.Reused, st.Released)
-	if m.gate != nil {
-		m.rec.RemineGate(m.gate.stable, m.gate.dirty, m.gate.redescended, m.gate.nearCross)
-	}
 	res.Metrics = m.snapshot()
-	if interrupted != nil {
-		// A cancelled mine leaves unevaluated (zero) outcomes in the level
-		// records — never hand those to the next window.
-		m.next = nil
-	}
-	return res, m.next, interrupted
+	return res, interrupted
 }
 
 // miner holds the shared state of one Mine call.
@@ -211,11 +163,6 @@ type miner struct {
 	// spare is the previous level's frontier slice, recycled as the next
 	// expand's output buffer (double-buffered levelwise frontiers).
 	spare []node
-	// gate decides which cached node outcomes an incremental re-mine may
-	// replay, and next accumulates the state handed to the following
-	// window's mine. Both nil on a plain Mine (and under DFS).
-	gate *remineGate
-	next *RemineState
 	// rec is the optional instrumentation sink (nil = disabled). It is
 	// shared with every per-level worker goroutine; all its operations
 	// are atomic.
@@ -370,25 +317,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 	threshold := m.list.Threshold()
 	outcomes := make([]nodeOutcome, len(frontier))
 
-	// Incremental replay pass: fill outcomes the gate proves unchanged
-	// from the previous window's cached state, then evaluate only the
-	// rest. Replayed outcomes flow through the exact same apply loop below
-	// (stats, top-k, lookup table), so the result is bit-identical to a
-	// full mine.
-	var replayed []bool
-	stable := 0
-	if lr := m.gate.enterLevel(level, alpha, threshold); lr != nil {
-		replayed = make([]bool, len(frontier))
-		for i := range frontier {
-			if out, ok := lr.outcome(frontier[i]); ok {
-				outcomes[i] = out
-				replayed[i] = true
-				stable++
-			}
-		}
-	}
-	m.gate.count(level, stable, len(frontier))
-
 	var levelStart time.Time
 	var levelTS int64
 	if m.rec.Enabled() || m.tr.Enabled() {
@@ -400,9 +328,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 		for i := range frontier {
 			if m.cancelled() {
 				break
-			}
-			if replayed != nil && replayed[i] {
-				continue
 			}
 			outcomes[i] = m.evaluateTimed(level, 0, frontier[i], alpha, threshold)
 		}
@@ -433,9 +358,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 			}(w)
 		}
 		for i := range frontier {
-			if replayed != nil && replayed[i] {
-				continue
-			}
 			work <- i
 		}
 		close(work)
@@ -459,19 +381,6 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 			// Dead end: its cover feeds the next level's allocations.
 			m.arena.Put(frontier[i].bits)
 		}
-	}
-	if m.next != nil {
-		st := remineLevel{
-			alphaBits:     math.Float64bits(alpha),
-			thresholdBits: math.Float64bits(threshold),
-			nodes:         make(map[string]nodeOutcome, len(frontier)),
-		}
-		for i := range frontier {
-			st.nodes[nodeSignature(frontier[i])] = outcomes[i]
-			st.inserts = append(st.inserts, outcomes[i].inserts...)
-		}
-		m.next.levels = append(m.next.levels, st)
-		m.gate.advanceLevel(level, st.inserts, len(m.table))
 	}
 	if m.rec.Enabled() {
 		m.rec.LevelObserve(level, len(frontier), len(survivors), contrasts,

@@ -178,18 +178,6 @@ type Recorder struct {
 	// Stream monitor window re-mine latency.
 	remine timer
 
-	// Incremental re-mine gate accounting (core.MineIncremental): frontier
-	// nodes carried forward vs re-evaluated, dirty nodes past level 1
-	// (re-descended subtree members), dirty pattern-bearing nodes whose
-	// worst-case support shift stayed inside the Eq. 14–16 CLT band, and
-	// the per-mine incremental/full mode tally.
-	gateStable      atomic.Int64
-	gateDirty       atomic.Int64
-	gateRedescended atomic.Int64
-	gateNearCross   atomic.Int64
-	reminesInc      atomic.Int64
-	reminesFull     atomic.Int64
-
 	// Trace-volume counters (fed by core.Mine from trace.Tracer.Stats).
 	traceEmitted   atomic.Uint64
 	traceDropped   atomic.Uint64
@@ -414,33 +402,6 @@ func (r *Recorder) RemineObserve(d time.Duration) {
 	r.remine.observe(d)
 }
 
-// RemineGate records one incremental re-mine's gate partition: frontier
-// nodes replayed from the previous window (stable), nodes re-evaluated
-// (dirty), the dirty subset past level 1 (re-descended), and dirty
-// pattern-bearing nodes whose change bound stayed inside the CLT band
-// (near-crossings).
-func (r *Recorder) RemineGate(stable, dirty, redescended, nearCrossings int64) {
-	if r == nil {
-		return
-	}
-	r.gateStable.Add(stable)
-	r.gateDirty.Add(dirty)
-	r.gateRedescended.Add(redescended)
-	r.gateNearCross.Add(nearCrossings)
-}
-
-// RemineMode counts one stream re-mine as incremental or full.
-func (r *Recorder) RemineMode(incremental bool) {
-	if r == nil {
-		return
-	}
-	if incremental {
-		r.reminesInc.Add(1)
-	} else {
-		r.reminesFull.Add(1)
-	}
-}
-
 // PruneCount is one rule's hit count in a snapshot.
 type PruneCount struct {
 	Rule string `json:"rule"`
@@ -497,15 +458,13 @@ type Snapshot struct {
 	Threshold         float64           `json:"threshold"`
 	NodeEval          HistogramSnapshot `json:"node_eval"`
 	Remine            TimerSnapshot     `json:"remine"`
-	GateStableNodes   int64             `json:"gate_stable_nodes"`
-	GateDirtyNodes    int64             `json:"gate_dirty_nodes"`
-	GateRedescended   int64             `json:"gate_redescended"`
-	GateNearCrossings int64             `json:"gate_near_crossings"`
-	ReminesInc        int64             `json:"remines_incremental"`
-	ReminesFull       int64             `json:"remines_full"`
-	TraceEvents       uint64            `json:"trace_events"`
-	TraceDropped      uint64            `json:"trace_dropped"`
-	TraceHighWater    int64             `json:"trace_high_water"`
+	// GateStableNodes and GateDirtyNodes are always 0: retired with the
+	// incremental re-mine path, kept for perfbench, which reads them.
+	GateStableNodes int64  `json:"gate_stable_nodes"`
+	GateDirtyNodes  int64  `json:"gate_dirty_nodes"`
+	TraceEvents     uint64 `json:"trace_events"`
+	TraceDropped    uint64 `json:"trace_dropped"`
+	TraceHighWater  int64  `json:"trace_high_water"`
 }
 
 // PruneHits returns the hit count of a rule in the snapshot (0 when the
@@ -553,12 +512,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		Threshold:         math.Float64frombits(r.thresholdBits.Load()),
 		NodeEval:          r.nodeEval.Snapshot(),
 		Remine:            r.remine.snapshot(),
-		GateStableNodes:   r.gateStable.Load(),
-		GateDirtyNodes:    r.gateDirty.Load(),
-		GateRedescended:   r.gateRedescended.Load(),
-		GateNearCrossings: r.gateNearCross.Load(),
-		ReminesInc:        r.reminesInc.Load(),
-		ReminesFull:       r.reminesFull.Load(),
 		TraceEvents:       r.traceEmitted.Load(),
 		TraceDropped:      r.traceDropped.Load(),
 		TraceHighWater:    r.traceHighWater.Load(),

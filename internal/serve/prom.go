@@ -22,10 +22,6 @@ type AlgorithmTotals struct {
 	SDADCalls    int64
 	BitmapAndOps int64
 	WallNanos    int64
-	// Incremental re-mine gate totals (stream monitors mining through the
-	// service): frontier nodes replayed unchanged vs re-evaluated.
-	GateStable int64
-	GateDirty  int64
 }
 
 // minerTotals folds per-job metrics snapshots into per-algorithm running
@@ -60,8 +56,6 @@ func (t *minerTotals) observe(alg string, s metrics.Snapshot, contrasts int, wal
 	a.SDADCalls += s.SDADCalls
 	a.BitmapAndOps += s.BitmapAndOps
 	a.WallNanos += int64(wall)
-	a.GateStable += s.GateStableNodes
-	a.GateDirty += s.GateDirtyNodes
 }
 
 // snapshot copies the totals sorted by algorithm name (deterministic
@@ -105,10 +99,6 @@ func algFamilies(totals []AlgorithmTotals) []obs.Family {
 			func(a AlgorithmTotals) float64 { return float64(a.SDADCalls) }),
 		mk("sdadcs_miner_bitmap_and_ops_total", "Bitmap AND intersections, by algorithm.",
 			func(a AlgorithmTotals) float64 { return float64(a.BitmapAndOps) }),
-		mk("sdadcs_miner_gate_stable_nodes_total", "Incremental re-mine frontier nodes replayed unchanged, by algorithm.",
-			func(a AlgorithmTotals) float64 { return float64(a.GateStable) }),
-		mk("sdadcs_miner_gate_dirty_nodes_total", "Incremental re-mine frontier nodes re-evaluated, by algorithm.",
-			func(a AlgorithmTotals) float64 { return float64(a.GateDirty) }),
 		mk("sdadcs_miner_wall_seconds_total", "Cumulative mine wall time, by algorithm.",
 			func(a AlgorithmTotals) float64 { return float64(a.WallNanos) / 1e9 }),
 	}

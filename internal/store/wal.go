@@ -242,8 +242,24 @@ func replayWAL(path string) (recs []walRecord, truncated bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
+	recs, good := parseWAL(data)
+	if good < len(data) {
+		// Torn tail: the record being appended when the process died.
+		// Truncate so the next append starts at a clean boundary.
+		if err := os.Truncate(path, int64(good)); err != nil {
+			return nil, false, fmt.Errorf("store: truncating torn wal tail: %w", err)
+		}
+		truncated = true
+	}
+	return recs, truncated, nil
+}
+
+// parseWAL splits a log image into its intact records, stopping at the
+// first record that fails a framing or CRC check. good is the offset just
+// past the last intact record; data[good:] is the torn tail. Payloads
+// alias data. It is pure — no I/O — so FuzzWALReplay drives it directly.
+func parseWAL(data []byte) (recs []walRecord, good int) {
 	pos := 0
-	good := 0 // offset after the last intact record
 	for {
 		if len(data)-pos < 4+1+4 {
 			break
@@ -264,13 +280,5 @@ func replayWAL(path string) (recs []walRecord, truncated bool, err error) {
 		pos += 4 + 1 + 4 + plen + 4
 		good = pos
 	}
-	if good < len(data) {
-		// Torn tail: the record being appended when the process died.
-		// Truncate so the next append starts at a clean boundary.
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return nil, false, fmt.Errorf("store: truncating torn wal tail: %w", err)
-		}
-		truncated = true
-	}
-	return recs, truncated, nil
+	return recs, good
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -181,35 +182,48 @@ func TestDoubleBufferKeepsPreviousSnapshotIntact(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesDisabled: two monitors fed the same rows — one
-// with the delta index, one with it disabled — must report identical
-// pattern sets and event streams. This is the end-to-end check that the
-// seeded index changes nothing about mining results.
+// TestIncrementalMatchesDisabled: a monitor re-mining over snapshots seeded
+// with the delta index must report the same event stream and pattern set
+// as a reference that mines a fresh Snapshot of the same window (index
+// built from scratch) and diffs it against its own previous result. This
+// is the end-to-end check that the seeded index changes nothing about
+// mining results or the events derived from them.
 func TestIncrementalMatchesDisabled(t *testing.T) {
+	mining := core.Config{MaxDepth: 2}
 	for seed := int64(0); seed < 5; seed++ {
-		rngA := rand.New(rand.NewSource(seed))
-		rngB := rand.New(rand.NewSource(seed))
-		mk := func(disable bool) *Monitor {
-			m, err := NewMonitor(testSchema(), Config{
-				WindowSize:              40,
-				MineEvery:               10,
-				DisableIncrementalIndex: disable,
-				Mining:                  core.Config{MaxDepth: 2},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
+		rng := rand.New(rand.NewSource(seed))
+		inc, err := NewMonitor(testSchema(), Config{
+			WindowSize: 40,
+			MineEvery:  10,
+			Mining:     mining,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		inc, base := mk(false), mk(true)
+		base := &Monitor{cfg: inc.cfg} // holds only the reference's diff state
 		for i := 0; i < 160; i++ {
-			c1, k1, g1 := randomRow(rngA)
-			c2, k2, g2 := randomRow(rngB)
-			ev1, err1 := inc.Append(c1, k1, g1)
-			ev2, err2 := base.Append(c2, k2, g2)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("seed %d append %d: err %v vs %v", seed, i, err1, err2)
+			before := inc.Mines()
+			cont, cat, group := randomRow(rng)
+			ev1, err1 := inc.Append(cont, cat, group)
+			if errors.Is(err1, ErrWindowNotMineable) {
+				if inc.Snapshot() != nil {
+					t.Fatalf("seed %d append %d: mineable window reported unmineable", seed, i)
+				}
+				continue
 			}
+			if err1 != nil {
+				t.Fatalf("seed %d append %d: %v", seed, i, err1)
+			}
+			if inc.Mines() == before {
+				if len(ev1) != 0 {
+					t.Fatalf("seed %d append %d: %d events without a re-mine", seed, i, len(ev1))
+				}
+				continue
+			}
+			d := inc.Snapshot()
+			next := core.Mine(d, mining).Contrasts
+			ev2 := base.diff(d, next)
+			base.current, base.curData = next, d
 			if len(ev1) != len(ev2) {
 				t.Fatalf("seed %d append %d: %d events vs %d", seed, i, len(ev1), len(ev2))
 			}
@@ -220,12 +234,12 @@ func TestIncrementalMatchesDisabled(t *testing.T) {
 				}
 			}
 		}
-		a, b := inc.Current(), base.Current()
+		a, b := inc.Current(), base.current
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: %d patterns vs %d", seed, len(a), len(b))
 		}
 		for j := range a {
-			if a[j].Score != b[j].Score || a[j].Format(inc.CurrentData()) != b[j].Format(base.CurrentData()) {
+			if a[j].Score != b[j].Score || a[j].Format(inc.CurrentData()) != b[j].Format(base.curData) {
 				t.Fatalf("seed %d pattern %d: %v vs %v", seed, j, a[j], b[j])
 			}
 		}

@@ -53,21 +53,6 @@ type Config struct {
 	// flicker across the largeness threshold between windows; an alerting
 	// floor keeps the event stream to changes worth acting on.
 	MinEventScore float64
-	// DisableIncrementalIndex turns off the delta-maintained bitmap index
-	// (see bitmap.DeltaIndex): every re-mine then rebuilds the index from
-	// the snapshot, as before. The incremental path is asserted
-	// bit-identical to the rebuild, so this is an escape hatch, not a
-	// correctness trade.
-	DisableIncrementalIndex bool
-	// DisableIncrementalRemine forces every due re-mine to run the full
-	// levelwise search instead of the incremental re-evaluation
-	// (core.MineIncremental) that replays node outcomes the window's
-	// change summary proves unchanged. The incremental path is asserted
-	// bit-identical to the full re-mine, so like the index switch this is
-	// an A/B escape hatch, not a correctness trade. Incremental
-	// re-evaluation rides on the delta index; DisableIncrementalIndex
-	// implies it.
-	DisableIncrementalRemine bool
 	// Mining configures the underlying miner (zero value = paper
 	// defaults).
 	Mining core.Config
@@ -214,17 +199,8 @@ type Monitor struct {
 	// delta is the incrementally-maintained bitmap index over ring
 	// positions: Append XOR-flips the departing and arriving rows' bits,
 	// and remine materializes it into the snapshot's code space instead of
-	// rebuilding per-value bitmaps from scratch. Nil when disabled.
+	// rebuilding per-value bitmaps from scratch.
 	delta *bitmap.DeltaIndex
-
-	// remState is the incremental re-mine carry-over: the previous
-	// window's cached node outcomes (core.RemineState), replayed by the
-	// next re-mine for every node the accumulated change summary proves
-	// unchanged. Nil until the first successful incremental re-mine.
-	remState *core.RemineState
-	// catScratch stages the departing row's categorical values for
-	// delta.Touch without a per-append allocation.
-	catScratch []string
 
 	// snapBufs are the double-buffered snapshot scratch columns. remine
 	// alternates between the two so the previous snapshot dataset — which
@@ -258,16 +234,13 @@ func NewMonitor(schema Schema, cfg Config) (*Monitor, error) {
 		cont:   make([][]float64, len(schema.Continuous)),
 		cat:    make([][]string, len(schema.Categorical)),
 		groups: make([]string, cfg.WindowSize),
+		delta:  bitmap.NewDeltaIndex(cfg.WindowSize, len(schema.Categorical)),
 	}
 	for i := range m.cont {
 		m.cont[i] = make([]float64, cfg.WindowSize)
 	}
 	for i := range m.cat {
 		m.cat[i] = make([]string, cfg.WindowSize)
-	}
-	if !cfg.DisableIncrementalIndex {
-		m.delta = bitmap.NewDeltaIndex(cfg.WindowSize, len(schema.Categorical))
-		m.catScratch = make([]string, len(schema.Categorical))
 	}
 	for b := range m.snapBufs {
 		m.snapBufs[b].cont = make([][]float64, len(schema.Continuous))
@@ -312,56 +285,14 @@ func (m *Monitor) Append(cont []float64, cat []string, group string) ([]Event, e
 	} else {
 		m.count++
 	}
-	if m.delta != nil {
-		// Row-dirtiness for the incremental re-mine gate: compare the full
-		// departing row (float bits, categorical values, group label)
-		// against the arriving one, before the ring cells are overwritten.
-		// A bit-identical replacement leaves every cover's content intact
-		// and is not a change; anything else marks the position's old and
-		// new categorical values touched.
-		dirty := !had // a filling window only ever gains new content
-		if had {
-			if group != m.groups[pos] {
-				dirty = true
-			}
-			for i, v := range cont {
-				if math.Float64bits(v) != math.Float64bits(m.cont[i][pos]) {
-					dirty = true
-					break
-				}
-			}
-			if !dirty {
-				for i, v := range cat {
-					if v != m.cat[i][pos] {
-						dirty = true
-						break
-					}
-				}
-			}
-		}
-		if dirty {
-			var old []string
-			if had {
-				for i := range m.cat {
-					m.catScratch[i] = m.cat[i][pos]
-				}
-				old = m.catScratch
-			}
-			m.delta.Touch(old, cat)
-		}
-	}
 	for i, v := range cont {
 		m.cont[i][pos] = v
 	}
 	for i, v := range cat {
-		if m.delta != nil {
-			m.delta.UpdateCat(i, pos, m.cat[i][pos], v, had)
-		}
+		m.delta.UpdateCat(i, pos, m.cat[i][pos], v, had)
 		m.cat[i][pos] = v
 	}
-	if m.delta != nil {
-		m.delta.UpdateGroup(pos, m.groups[pos], group, had)
-	}
+	m.delta.UpdateGroup(pos, m.groups[pos], group, had)
 	m.groups[pos] = group
 
 	m.sinceMine++
@@ -480,22 +411,6 @@ func (m *Monitor) catAttrs() []int {
 	return out
 }
 
-// changeSummary translates the delta index's column-keyed touch counts
-// into the attribute-keyed form core's incremental gate consumes
-// (categorical column i is snapshot attribute len(Continuous)+i, matching
-// catAttrs).
-func (m *Monitor) changeSummary() core.ChangeSummary {
-	s := m.delta.Summary()
-	ch := core.ChangeSummary{
-		RowsTouched: s.RowsTouched,
-		Touched:     make(map[int]map[string]int, len(s.Cats)),
-	}
-	for col, vals := range s.Cats {
-		ch.Touched[len(m.schema.Continuous)+col] = vals
-	}
-	return ch
-}
-
 // Current returns the patterns of the latest snapshot.
 func (m *Monitor) Current() []pattern.Contrast { return m.current }
 
@@ -513,14 +428,12 @@ func (m *Monitor) remine() ([]Event, error) {
 		m.skipped++
 		return nil, ErrWindowNotMineable
 	}
-	if m.delta != nil {
-		// Seed the snapshot's index slot with the delta-maintained index —
-		// bit-identical to the rebuild bitmap.Shared would otherwise pay
-		// for — so the mining engine finds it already built.
-		d.Index().LoadOrBuild(func() any {
-			return m.delta.Materialize(d, m.start, m.count, m.catAttrs())
-		})
-	}
+	// Seed the snapshot's index slot with the delta-maintained index —
+	// bit-identical to the rebuild bitmap.Shared would otherwise pay for —
+	// so the mining engine finds it already built.
+	d.Index().LoadOrBuild(func() any {
+		return m.delta.Materialize(d, m.start, m.count, m.catAttrs())
+	})
 	rec := m.cfg.Mining.Metrics
 	tr := m.cfg.Mining.Trace
 	var start time.Time
@@ -529,22 +442,9 @@ func (m *Monitor) remine() ([]Event, error) {
 		start = time.Now()
 		startTS = tr.Now()
 	}
-	incremental := m.delta != nil && !m.cfg.DisableIncrementalRemine
-	var res core.Result
-	if incremental {
-		// Incremental re-evaluation: hand the miner the previous window's
-		// cached state plus the change summary accumulated since, and keep
-		// the state it returns for the next window. The summary is only
-		// reset once consumed — skipped (unmineable) re-mines keep
-		// accumulating so the next successful one sees every change.
-		res, m.remState = core.MineIncremental(d, m.cfg.Mining, m.remState, m.changeSummary())
-		m.delta.ResetSummary()
-	} else {
-		res = core.Mine(d, m.cfg.Mining)
-	}
+	res := core.Mine(d, m.cfg.Mining)
 	if rec.Enabled() {
 		rec.RemineObserve(time.Since(start))
-		rec.RemineMode(incremental)
 	}
 	if tr.Enabled() {
 		tr.Remine(startTS, d.Rows(), len(res.Contrasts), time.Since(start))
