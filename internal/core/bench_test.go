@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sdadcs/internal/datagen"
+	"sdadcs/internal/dataset"
 	"sdadcs/internal/metrics"
 	"sdadcs/internal/pattern"
 )
@@ -32,6 +33,35 @@ func BenchmarkMineMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Mine(d, Config{Attrs: attrs, MaxDepth: 2})
+	}
+}
+
+// BenchmarkMineContinuousShape and BenchmarkMineCategoricalShape mine the
+// two dataset shapes of the repository benchmark's mine workloads (the
+// same datagen.UCISpec sizes, other seeds) with one worker, so a CPU or
+// allocation profile of either needs no separate harness:
+//
+//	go test -run '^$' -bench MineContinuousShape -benchtime 20x \
+//		-cpuprofile cpu.out -memprofile mem.out ./internal/core
+func BenchmarkMineContinuousShape(b *testing.B) {
+	d := datagen.Planted(datagen.UCISpec{Name: "continuous-shape", Group0: "spam", Group1: "ham",
+		N0: 900, N1: 700, Cat: 2, Cont: 24, Strength: 0.5, Seed: 11})
+	benchMineShape(b, d, 2)
+}
+
+func BenchmarkMineCategoricalShape(b *testing.B) {
+	d := datagen.Planted(datagen.UCISpec{Name: "categorical-shape", Group0: "a", Group1: "b",
+		N0: 18000, N1: 14000, Cat: 24, Cont: 0, Strength: 0.5, Seed: 12})
+	benchMineShape(b, d, 3)
+}
+
+func benchMineShape(b *testing.B, d *dataset.Dataset, depth int) {
+	cfg := Config{MaxDepth: depth, Workers: 1}
+	Mine(d, cfg) // builds the dataset's shared bitmap index outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Mine(d, cfg)
 	}
 }
 

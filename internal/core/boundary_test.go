@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sdadcs/internal/bitmap"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
 )
@@ -54,7 +55,8 @@ func TestExploreBoundaryRowsExcluded(t *testing.T) {
 		contAttrs: []int{0},
 		alpha:     cfg.Alpha,
 		threshold: cfg.scoreFloor(),
-		memo:      newSupportMemo(d),
+		memo:      newSupportMemo(d, bitmap.NewIndex(d)),
+		scratch:   new(sdadScratch),
 		table:     make(pruneTable),
 		sizes:     d.GroupSizes(),
 		totalRows: d.Rows(),

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdadcs/internal/bitmap"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
 )
@@ -188,7 +189,8 @@ func TestSDADRunCancelledContext(t *testing.T) {
 		prune:     AllPruning(),
 		contAttrs: []int{0, 1, 2},
 		alpha:     cfg.Alpha,
-		memo:      newSupportMemo(d),
+		memo:      newSupportMemo(d, bitmap.NewIndex(d)),
+		scratch:   new(sdadScratch),
 		table:     make(pruneTable),
 		sizes:     d.GroupSizes(),
 		totalRows: d.Rows(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sdadcs/internal/bitmap"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
 	"sdadcs/internal/stucco"
@@ -25,6 +26,7 @@ func JointDiscretize(d *dataset.Dataset, contAttrs []int, context pattern.Itemse
 			panic("core: JointDiscretize requires continuous attributes")
 		}
 	}
+	ix, _ := bitmap.Shared(d)
 	list := topk.New(cfg.TopK, cfg.scoreFloor()).WithRecorder(cfg.Metrics).WithTracer(cfg.Trace)
 	run := &sdadRun{
 		d:         d,
@@ -32,8 +34,10 @@ func JointDiscretize(d *dataset.Dataset, contAttrs []int, context pattern.Itemse
 		prune:     cfg.pruning(),
 		contAttrs: contAttrs,
 		alpha:     cfg.Alpha,
+		crit:      chiSquareCrit(cfg.Alpha, d.NumGroups()),
 		threshold: cfg.scoreFloor(),
-		memo:      newSupportMemo(d),
+		memo:      newSupportMemo(d, ix),
+		scratch:   new(sdadScratch),
 		table:     make(pruneTable),
 		sizes:     d.GroupSizes(),
 		totalRows: d.Rows(),

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"sdadcs/internal/bitmap"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
 	"sdadcs/internal/stats"
@@ -55,9 +56,17 @@ func (m Meaningfulness) verdict() string {
 // Classify evaluates each contrast's meaningfulness at significance level
 // alpha. The independent-productivity check is relative to the other
 // contrasts in cs, as in the paper ("the check is performed only on
-// supersets present in the final list").
+// supersets present in the final list"). Subset supports are counted on
+// the dataset's shared bitmap index, which Classify builds on first use
+// exactly as Mine does.
 func Classify(d *dataset.Dataset, cs []pattern.Contrast, alpha float64) []Meaningfulness {
-	memo := newSupportMemo(d)
+	ix, _ := bitmap.Shared(d)
+	return classify(d, cs, alpha, newSupportMemo(d, ix))
+}
+
+// classify is Classify over a caller's support memo, so MineContext can
+// hand the filter the memo its search already filled.
+func classify(d *dataset.Dataset, cs []pattern.Contrast, alpha float64, memo *supportMemo) []Meaningfulness {
 	out := make([]Meaningfulness, len(cs))
 	for i, c := range cs {
 		out[i].Redundant = isRedundant(c, alpha, memo)

@@ -45,7 +45,6 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 		sizes: d.GroupSizes(),
 		list:  topk.New(cfg.TopK, cfg.scoreFloor()).WithRecorder(cfg.Metrics).WithTracer(cfg.Trace),
 		table: make(pruneTable),
-		memo:  newSupportMemo(d),
 		rec:   cfg.Metrics,
 		tr:    cfg.Trace,
 	}
@@ -57,6 +56,8 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	// group mask.
 	ix, built := bitmap.Shared(d)
 	m.index = ix
+	m.memo = newSupportMemo(d, ix)
+	m.scratch = make([]sdadScratch, max(cfg.Workers, 1))
 	m.arena = bitmap.NewArena(d.Rows())
 	if built {
 		m.rec.BitmapBuilds(ix.NumBitmaps())
@@ -79,7 +80,7 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 		// up front, so the Bonferroni adjustment can only use the level-1
 		// width — one of the paper's arguments for levelwise search.
 		alpha := schedule.LevelAlpha(len(frontier))
-		m.mineDFS(frontier, attrs, 1, alpha)
+		m.mineDFS(frontier, attrs, 1, alpha, chiSquareCrit(alpha, len(m.sizes)))
 	} else {
 		for level := 1; level <= cfg.MaxDepth && len(frontier) > 0; level++ {
 			if err := ctx.Err(); err != nil {
@@ -111,7 +112,9 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	if cfg.SkipMeaningfulFilter {
 		res.Contrasts = contrasts
 	} else {
-		meaning := Classify(d, contrasts, cfg.Alpha)
+		// The filter shares the search's support memo: subsets the CLT
+		// rule already counted are not recounted.
+		meaning := classify(d, contrasts, cfg.Alpha, m.memo)
 		for i, c := range contrasts {
 			if m.tr.Enabled() {
 				m.tr.Filter(c.Set.Key(), meaning[i].verdict(), c.Score)
@@ -147,8 +150,12 @@ type miner struct {
 	sizes []int
 	list  *topk.List
 	table pruneTable
-	memo  *supportMemo
-	stats Stats
+	// memo is the Mine's subset-support cache, shared by every worker and
+	// the meaningfulness filter; it dies with the Mine.
+	memo *supportMemo
+	// scratch[w] is worker w's SDAD-CS buffers.
+	scratch []sdadScratch
+	stats   Stats
 	// index is the support-counting engine: one bitmap per categorical
 	// value and per group (the SciCSM representation, the paper's ref
 	// [29]), cached on the dataset and built at most once per dataset ever
@@ -315,6 +322,7 @@ func (m *miner) expand(nodes []node, attrs []int) []node {
 // identical for any worker count.
 func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 	threshold := m.list.Threshold()
+	crit := chiSquareCrit(alpha, len(m.sizes))
 	outcomes := make([]nodeOutcome, len(frontier))
 
 	var levelStart time.Time
@@ -329,7 +337,7 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 			if m.cancelled() {
 				break
 			}
-			outcomes[i] = m.evaluateTimed(level, 0, frontier[i], alpha, threshold)
+			outcomes[i] = m.evaluateTimed(level, 0, frontier[i], alpha, crit, threshold)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -343,7 +351,7 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 						if m.cancelled() {
 							continue // keep draining so the producer never blocks
 						}
-						outcomes[i] = m.evaluateTimed(level, worker, frontier[i], alpha, threshold)
+						outcomes[i] = m.evaluateTimed(level, worker, frontier[i], alpha, crit, threshold)
 					}
 				}
 				if m.cfg.PprofLabels {
@@ -394,12 +402,12 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 
 // evaluateTimed wraps evaluate with the per-node latency observation; the
 // disabled-recorder path skips both clock reads.
-func (m *miner) evaluateTimed(level, worker int, nd node, alpha, threshold float64) nodeOutcome {
+func (m *miner) evaluateTimed(level, worker int, nd node, alpha, crit, threshold float64) nodeOutcome {
 	if m.rec == nil {
-		return m.evaluate(level, worker, nd, alpha, threshold)
+		return m.evaluate(level, worker, nd, alpha, crit, threshold)
 	}
 	start := time.Now()
-	o := m.evaluate(level, worker, nd, alpha, threshold)
+	o := m.evaluate(level, worker, nd, alpha, crit, threshold)
 	m.rec.NodeEval(level, time.Since(start))
 	return o
 }
@@ -409,12 +417,12 @@ func (m *miner) evaluateTimed(level, worker int, nd node, alpha, threshold float
 // top-k additions apply immediately. Covers are recycled at the same
 // points as the levelwise order: inside expand for explored nodes, right
 // here for dead ends and max-depth leaves.
-func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha float64) {
+func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha, crit float64) {
 	for _, nd := range nodes {
 		if m.cancelled() {
 			return
 		}
-		o := m.evaluateTimed(level, 0, nd, alpha, m.list.Threshold())
+		o := m.evaluateTimed(level, 0, nd, alpha, crit, m.list.Threshold())
 		m.stats.add(o.stats)
 		for _, c := range o.contrasts {
 			m.list.Add(c)
@@ -423,7 +431,7 @@ func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha float64) {
 			m.table[key] = struct{}{}
 		}
 		if o.survived && level < m.cfg.MaxDepth {
-			m.mineDFS(m.expand([]node{nd}, attrs), attrs, level+1, alpha)
+			m.mineDFS(m.expand([]node{nd}, attrs), attrs, level+1, alpha, crit)
 		} else if nd.owned {
 			m.arena.Put(nd.bits)
 		}
@@ -435,9 +443,11 @@ func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha float64) {
 // mutable state (it runs concurrently); memo access is the one exception,
 // guarded by supportMemo's mutex (internal/core/prune.go) — all shared
 // access goes through supportMemo.supports, which locks around its cache.
-func (m *miner) evaluate(level, worker int, nd node, alpha, threshold float64) nodeOutcome {
+// crit is the level's χ² critical value at alpha; worker selects the
+// goroutine's SDAD-CS scratch.
+func (m *miner) evaluate(level, worker int, nd node, alpha, crit, threshold float64) nodeOutcome {
 	if len(nd.contAttrs) == 0 {
-		return m.evaluateCategorical(level, worker, nd, alpha)
+		return m.evaluateCategorical(level, worker, nd, alpha, crit)
 	}
 	run := &sdadRun{
 		ctx:       m.ctx,
@@ -446,8 +456,10 @@ func (m *miner) evaluate(level, worker int, nd node, alpha, threshold float64) n
 		prune:     m.prune,
 		contAttrs: nd.contAttrs,
 		alpha:     alpha,
+		crit:      crit,
 		threshold: threshold,
 		memo:      m.memo,
+		scratch:   &m.scratch[worker],
 		table:     m.table,
 		sizes:     m.sizes,
 		totalRows: m.d.Rows(),
@@ -496,7 +508,7 @@ func (m *miner) groupCounts(nd node) []int {
 }
 
 // evaluateCategorical handles a categorical-only node (STUCCO semantics).
-func (m *miner) evaluateCategorical(level, worker int, nd node, alpha float64) nodeOutcome {
+func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit float64) nodeOutcome {
 	var o nodeOutcome
 	if m.prune.LookupTable {
 		if subKey, hit := m.table.prunedSubset(nd.catSet); hit {
@@ -515,7 +527,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha float64) n
 	if m.tr.Enabled() {
 		m.tr.Node(level, worker, nd.catSet.Key(), sup.TotalCount(), counts)
 	}
-	dec := evaluatePruning(m.prune, nd.catSet, sup, m.cfg.Delta, alpha,
+	dec := evaluatePruning(m.prune, nd.catSet, sup, m.cfg.Delta, alpha, crit,
 		m.d.Rows(), m.memo.supports, m.rec, m.tr, level, worker)
 	if dec.record && m.prune.LookupTable {
 		o.inserts = append(o.inserts, nd.catSet.Key())

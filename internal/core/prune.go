@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
+	"sdadcs/internal/bitmap"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/metrics"
 	"sdadcs/internal/pattern"
@@ -18,26 +22,36 @@ type pruneTable map[string]struct{}
 // prunedSubset returns the key of a recorded non-empty subset of the
 // itemset's items (including the itemset itself), if any — the provenance
 // answer to "which earlier prune killed this space". Itemsets are at most
-// MaxDepth items, so the 2^n subset enumeration is tiny.
+// MaxDepth items, so the 2^n subset enumeration is tiny. Items are already
+// in attribute order, so a subset's canonical key is its items' keys
+// joined in mask order: each item key is formatted once per call.
 func (t pruneTable) prunedSubset(set pattern.Itemset) (string, bool) {
 	if len(t) == 0 {
 		return "", false
 	}
-	items := set.Items()
-	n := len(items)
+	n := set.Len()
 	if n == 0 {
 		return "", false
 	}
+	keys := make([]string, n)
+	size := n
+	for i := range keys {
+		keys[i] = set.Item(i).Key()
+		size += len(keys[i])
+	}
+	buf := make([]byte, 0, size)
 	for mask := 1; mask < 1<<uint(n); mask++ {
-		var sub []pattern.Item
+		buf = buf[:0]
 		for i := 0; i < n; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				sub = append(sub, items[i])
+				if len(buf) > 0 {
+					buf = append(buf, '|')
+				}
+				buf = append(buf, keys[i]...)
 			}
 		}
-		key := pattern.NewItemset(sub...).Key()
-		if _, ok := t[key]; ok {
-			return key, true
+		if _, ok := t[string(buf)]; ok {
+			return string(buf), true
 		}
 	}
 	return "", false
@@ -63,6 +77,9 @@ type pruneDecision struct {
 
 // evaluatePruning applies the pruning rules to a counted space.
 //
+// crit is the χ² critical value at the level's α with one degree of
+// freedom per group beyond the first — constant across a level, so the
+// caller computes it once (chiSquareCrit) instead of once per space.
 // sup holds the space's per-group supports; set its itemset. The CLT
 // redundancy rule compares the space's support difference against each
 // subset obtained by dropping one item (Eq. 14–16); subset supports are
@@ -73,7 +90,7 @@ type pruneDecision struct {
 // from parallel per-level workers; level/worker only annotate trace
 // events.
 func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
-	delta, alpha float64, totalRows int,
+	delta, alpha, crit float64, totalRows int,
 	suppOf func(pattern.Itemset) pattern.Supports,
 	rec *metrics.Recorder, tr *trace.Tracer, level, worker int) pruneDecision {
 
@@ -126,7 +143,6 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	// critical value at the current α, children cannot be significant.
 	if p.ChiSquareOE && !d.skipChildren {
 		bound := stats.ChiSquareOptimistic(sup.Count, sup.Size)
-		crit := stats.ChiSquareQuantile(1-alpha, len(sup.Size)-1)
 		if bound < crit {
 			rec.PruneHit(metrics.PruneChiSquareOE)
 			if tr.Enabled() {
@@ -136,6 +152,13 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 		}
 	}
 	return d
+}
+
+// chiSquareCrit is the critical value the χ² optimistic-estimate rule
+// compares against: the (1−α) quantile of χ² with groups−1 degrees of
+// freedom.
+func chiSquareCrit(alpha float64, groups int) float64 {
+	return stats.ChiSquareQuantile(1-alpha, groups-1)
 }
 
 // maxSupport returns the largest per-group support — the statistic the
@@ -223,16 +246,43 @@ func extremeGroups(sup pattern.Supports) (hi, lo int) {
 // supportMemo caches itemset supports over the full dataset, shared by the
 // CLT redundancy rule and the meaningfulness filters. It is safe for
 // concurrent use (parallel level mining recomputes at worst).
+//
+// A support is counted on bitmaps, never by scanning rows: a categorical
+// item's cover is the index's value bitmap, a range item's (lo,hi] cover
+// is the rank range of a sorted (value, row) column, and the per-group
+// counts are one fused popcount of the ANDed covers. The sorted columns
+// are built lazily, per continuous attribute, and belong to the memo: they
+// live exactly as long as one Mine (or one Classify or JointDiscretize
+// call), so nothing outlives it in a long-running service or stream.
 type supportMemo struct {
-	d  *dataset.Dataset
-	mu sync.Mutex
+	d     *dataset.Dataset
+	ix    *bitmap.Index
+	sizes []int
+	mu    sync.Mutex
 	// cache maps itemset keys to their supports; values are deterministic
 	// functions of the key, so racing writers are harmless.
 	cache map[string]pattern.Supports
+	// cols[attr] is continuous attribute attr's sorted column, built on
+	// first use.
+	cols []sortedColumn
 }
 
-func newSupportMemo(d *dataset.Dataset) *supportMemo {
-	return &supportMemo{d: d, cache: make(map[string]pattern.Supports)}
+// sortedColumn is a continuous attribute's non-NaN values in ascending
+// order, each paired with its row.
+type sortedColumn struct {
+	once sync.Once
+	vals []float64
+	rows []int32
+}
+
+func newSupportMemo(d *dataset.Dataset, ix *bitmap.Index) *supportMemo {
+	return &supportMemo{
+		d:     d,
+		ix:    ix,
+		sizes: d.GroupSizes(),
+		cache: make(map[string]pattern.Supports),
+		cols:  make([]sortedColumn, d.NumAttrs()),
+	}
 }
 
 func (m *supportMemo) supports(set pattern.Itemset) pattern.Supports {
@@ -243,9 +293,84 @@ func (m *supportMemo) supports(set pattern.Itemset) pattern.Supports {
 	if ok {
 		return s
 	}
-	s = pattern.SupportsOf(set, m.d.All())
+	s = pattern.CountsToSupports(m.count(set), m.sizes)
 	m.mu.Lock()
 	m.cache[key] = s
 	m.mu.Unlock()
 	return s
+}
+
+// count returns the itemset's per-group row counts: the AND of its item
+// covers, popcounted against the group masks. A lone categorical item is
+// counted straight off its shared value bitmap; index bitmaps are never
+// written.
+func (m *supportMemo) count(set pattern.Itemset) []int {
+	counts := make([]int, len(m.sizes))
+	var cover *bitmap.Set // nil: every row
+	owned := false        // cover is this call's own bitmap
+	for i := 0; i < set.Len(); i++ {
+		it := set.Item(i)
+		var c *bitmap.Set
+		fresh := it.Kind == dataset.Continuous
+		if fresh {
+			c = m.rangeCover(it.Attr, it.Range)
+		} else {
+			c = m.ix.Value(it.Attr, it.Code)
+		}
+		switch {
+		case cover == nil:
+			cover, owned = c, fresh
+		case owned:
+			cover.AndInto(c, cover)
+		case fresh:
+			cover, owned = c.AndInto(cover, c), true
+		default:
+			cover, owned = cover.And(c), true
+		}
+	}
+	if cover == nil {
+		copy(counts, m.sizes)
+		return counts
+	}
+	m.ix.GroupCountsInto(cover, counts)
+	return counts
+}
+
+// rangeCover returns a fresh bitmap of the rows whose attr value lies in
+// (iv.Lo, iv.Hi] — the rank range between two binary searches of the
+// attribute's sorted column. NaN values are not in the column, so they
+// match no range, exactly as the (Lo, Hi] comparison rejects them.
+func (m *supportMemo) rangeCover(attr int, iv pattern.Interval) *bitmap.Set {
+	out := bitmap.New(m.d.Rows())
+	if !(iv.Lo < iv.Hi) {
+		return out // empty, or a NaN bound
+	}
+	col := m.column(attr)
+	from := sort.Search(len(col.vals), func(i int) bool { return col.vals[i] > iv.Lo })
+	to := sort.Search(len(col.vals), func(i int) bool { return col.vals[i] > iv.Hi })
+	for _, r := range col.rows[from:to] {
+		out.Add(int(r))
+	}
+	return out
+}
+
+// column returns attr's sorted column, building it on first use.
+func (m *supportMemo) column(attr int) *sortedColumn {
+	col := &m.cols[attr]
+	col.once.Do(func() {
+		vals := m.d.ContColumn(attr)
+		rows := make([]int32, 0, len(vals))
+		for r, v := range vals {
+			if v == v { // NaN matches no range
+				rows = append(rows, int32(r))
+			}
+		}
+		slices.SortFunc(rows, func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) })
+		col.rows = rows
+		col.vals = make([]float64, len(rows))
+		for i, r := range rows {
+			col.vals[i] = vals[r]
+		}
+	})
+	return col
 }

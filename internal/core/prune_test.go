@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"sdadcs/internal/bitmap"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
 )
@@ -54,10 +55,10 @@ func prunableDataset(t *testing.T) *dataset.Dataset {
 
 func TestEvaluatePruningMinDeviation(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d)
+	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All()) // ~5% support in A only
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if !dec.skipChildren || !dec.skipContrast || !dec.record {
 		t.Errorf("low-support space should fully prune: %+v", dec)
 	}
@@ -65,13 +66,13 @@ func TestEvaluatePruningMinDeviation(t *testing.T) {
 
 func TestEvaluatePruningPureSpace(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d)
+	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, -1, 150))
 	sup := pattern.SupportsOf(set, d.All()) // 150 A rows, 0 B rows: pure
 	if sup.PR() != 1 {
 		t.Fatalf("setup: PR = %v", sup.PR())
 	}
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if !dec.skipChildren {
 		t.Error("pure space must not be extended")
 	}
@@ -85,10 +86,10 @@ func TestEvaluatePruningPureSpace(t *testing.T) {
 
 func TestEvaluatePruningDisabled(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d)
+	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All())
-	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if dec.skipChildren || dec.skipContrast || dec.record {
 		t.Errorf("disabled pruning should pass everything: %+v", dec)
 	}
@@ -98,7 +99,7 @@ func TestRedundantByCLTDetectsSubsumption(t *testing.T) {
 	// pregnant ⊂ female: {female, pregnant} has identical supports to
 	// {pregnant}, hence identical diff — within any CLT bound.
 	d := femalePregnant(t)
-	memo := newSupportMemo(d)
+	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(item(d, "sex", "female"), item(d, "pregnant", "yes"))
 	sup := memo.supports(set)
 	det, redundant := redundantByCLT(set, sup, 0.05, memo.supports)
@@ -114,7 +115,7 @@ func TestRedundantByCLTKeepsRealRefinement(t *testing.T) {
 	// A genuine refinement: restricting the range sharply changes the
 	// difference relative to both one-item subsets.
 	d := datagen2x(t)
-	memo := newSupportMemo(d)
+	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(
 		pattern.RangeItem(0, -1, 0.5),
 		pattern.RangeItem(1, -1, 0.5),
@@ -152,7 +153,7 @@ func datagen2x(t *testing.T) *dataset.Dataset {
 
 func TestSupportMemoCaches(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d)
+	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 100))
 	a := memo.supports(set)
 	b := memo.supports(set)

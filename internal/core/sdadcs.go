@@ -27,8 +27,10 @@ type sdadRun struct {
 	prune     Pruning
 	contAttrs []int
 	alpha     float64 // Bonferroni-adjusted level α
+	crit      float64 // χ² critical value at alpha (chiSquareCrit)
 	threshold float64 // current top-k minimum support (interest measure)
 	memo      *supportMemo
+	scratch   *sdadScratch
 	table     pruneTable // read-only during the run
 	stats     Stats
 	inserts   []string // lookup-table keys produced by this run
@@ -42,6 +44,29 @@ type sdadRun struct {
 	// the per-level goroutine index trace events are attributed to.
 	tr     *trace.Tracer
 	worker int
+}
+
+// sdadScratch is one worker's reusable SDAD-CS buffers. A miner owns one
+// per worker, indexed by the worker number evaluate receives, so the
+// buffers grow once per Mine rather than once per node, and none outlives
+// the Mine.
+type sdadScratch struct {
+	vals  []float64 // one attribute's finite values in a box, for its median
+	boxOf []int32   // per view row: the linear index of its box, or -1
+	// rows[level-1] backs the row slices of the boxes a split at that
+	// recursion level produces; a box's child split writes the next level.
+	rows [][]int
+}
+
+// levelRows returns a buffer of n row slots for the boxes split at level.
+func (s *sdadScratch) levelRows(level, n int) []int {
+	for len(s.rows) < level {
+		s.rows = append(s.rows, nil)
+	}
+	if cap(s.rows[level-1]) < n {
+		s.rows[level-1] = make([]int, n)
+	}
+	return s.rows[level-1][:n]
 }
 
 // run executes Algorithm 1 for the given categorical context and returns
@@ -75,11 +100,12 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	// partition(ca): split each attribute at the view's median, within the
 	// box's current range.
 	choices := make([][]pattern.Interval, 0, len(r.contAttrs))
+	cols := make([][]float64, len(r.contAttrs))
 	splits := 0
-	for _, attr := range r.contAttrs {
+	for k, attr := range r.contAttrs {
 		cur := currentRange(box, attr)
-		med := view.Median(attr)
-		_, hi := view.MinMax(attr)
+		cols[k] = r.d.ContColumn(attr)
+		med, hi := r.medianMax(view, cols[k])
 		if med > cur.Lo && med < hi && med < cur.Hi {
 			choices = append(choices, []pattern.Interval{
 				{Lo: cur.Lo, Hi: med},
@@ -110,27 +136,36 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	// any attribute — values tied exactly at the box's Lo, or beyond its
 	// Hi, which a caller-supplied view may contain — belong to no space,
 	// exactly as re-counting the recorded box would exclude them.
+	//
+	// The spaces' row slices are filled by counting sort: the first pass
+	// records each row's space and counts rows per space, prefix sums give
+	// each space's start, and a second pass fills one backing array in view
+	// order, so every space keeps its rows in view order.
 	totalSpaces := 1
 	for _, ch := range choices {
 		totalSpaces *= len(ch)
 	}
 	r.rec.BoxesExplored(totalSpaces)
-	spaceRows := make([][]int, totalSpaces)
 	n := view.Len()
+	if cap(r.scratch.boxOf) < n {
+		r.scratch.boxOf = make([]int32, n)
+	}
+	boxOf := r.scratch.boxOf[:n]
+	// bounds[b+1] counts space b's rows; after the prefix sum bounds[b] is
+	// its start, and after the fill its end.
+	bounds := make([]int, totalSpaces+1)
 	for i := 0; i < n; i++ {
 		row := view.Row(i)
 		linear := 0
 		mult := 1
-		skip := false
-		for k, attr := range r.contAttrs {
-			ch := choices[k]
-			v := r.d.Cont(attr, row)
+		for k, ch := range choices {
+			v := cols[k][row]
 			if v != v { // NaN: a missing reading belongs to no bin
-				skip = true
+				linear = -1
 				break
 			}
 			if v <= ch[0].Lo || v > ch[len(ch)-1].Hi {
-				skip = true // outside the box under (Lo, Hi] semantics
+				linear = -1 // outside the box under (Lo, Hi] semantics
 				break
 			}
 			choice := 0
@@ -140,17 +175,30 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 			linear += choice * mult
 			mult *= len(ch)
 		}
-		if skip {
-			continue
+		boxOf[i] = int32(linear)
+		if linear >= 0 {
+			bounds[linear+1]++
 		}
-		spaceRows[linear] = append(spaceRows[linear], row)
+	}
+	for b := 1; b <= totalSpaces; b++ {
+		bounds[b] += bounds[b-1]
+	}
+	backing := r.scratch.levelRows(level, bounds[totalSpaces])
+	for i, b := range boxOf {
+		if b >= 0 {
+			backing[bounds[b]] = view.Row(i)
+			bounds[b]++
+		}
 	}
 
 	var contrasts, tentative []pattern.Contrast // D and Dtemp
 	// find_combs(p): iterate the cartesian product of interval choices.
 	idx := make([]int, len(choices))
+	start := 0
 	for linear := 0; ; linear++ {
-		r.exploreSpace(box, choices, idx, spaceRows[linear], level, parentMeasure, &contrasts, &tentative)
+		end := bounds[linear]
+		r.exploreSpace(box, choices, idx, backing[start:end:end], level, parentMeasure, &contrasts, &tentative)
+		start = end
 		// Advance the odometer (idx[0] fastest, matching the linear index).
 		i := 0
 		for ; i < len(idx); i++ {
@@ -171,6 +219,27 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 		return append(contrasts, tentative...)
 	}
 	return nil
+}
+
+// medianMax returns the lower-middle median and the maximum of a
+// continuous column over the view's finite values, or (0, 0) when it has
+// none — what View.Median and View.MinMax report — from one pass over the
+// view into the worker's value scratch and one selection.
+func (r *sdadRun) medianMax(view dataset.View, col []float64) (med, hi float64) {
+	vals := r.scratch.vals[:0]
+	n := view.Len()
+	for i := 0; i < n; i++ {
+		x := col[view.Row(i)]
+		if x != x { // NaN
+			continue
+		}
+		if len(vals) == 0 || x > hi {
+			hi = x
+		}
+		vals = append(vals, x)
+	}
+	r.scratch.vals = vals
+	return dataset.QuantileInPlace(vals, 0.5), hi
 }
 
 // exploreSpace processes one box of the current partition; rows holds the
@@ -212,7 +281,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	}
 
 	// Pruning rules (§4.3).
-	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha,
+	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha, r.crit,
 		r.totalRows, r.memo.supports, r.rec, r.tr, level, r.worker)
 	if dec.record && r.prune.LookupTable {
 		r.inserts = append(r.inserts, childBox.Key())

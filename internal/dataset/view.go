@@ -99,45 +99,20 @@ func (v View) Median(attr int) float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of a continuous attribute
-// over the view by sorting a copy of the view's finite values; missing
-// (NaN) readings are skipped.
+// over the view: the lower element at index int(q·(n−1)) of the n finite
+// values in ascending order, so that the median of an even-length sample is
+// the lower-middle value — a split at (−inf, median] then keeps at most
+// ceil(n/2) rows on the left, the invariant the optimistic estimate relies
+// on. Missing (NaN) readings are skipped; with none left it returns 0.
 func (v View) Quantile(attr int, q float64) float64 {
-	vals := v.ContValues(attr)
-	finite := vals[:0]
-	for _, x := range vals {
-		if x == x { // skip NaN
-			finite = append(finite, x)
-		}
-	}
-	vals = finite
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	// Use the lower element on ties between positions so that, e.g., the
-	// median of an even-length sample is the lower-middle value: a split at
-	// (−inf, median] then keeps at most ceil(n/2) rows on the left, the
-	// invariant the optimistic estimate relies on.
-	idx := int(q * float64(len(vals)-1))
-	return vals[idx]
-}
-
-// ContValues copies the values of a continuous attribute over the view.
-func (v View) ContValues(attr int) []float64 {
 	a := v.ds.attrs[attr]
 	col := v.ds.contCols[a.col]
 	n := v.Len()
-	out := make([]float64, n)
+	vals := make([]float64, n)
 	for i := 0; i < n; i++ {
-		out[i] = col[v.Row(i)]
+		vals[i] = col[v.Row(i)]
 	}
-	return out
+	return QuantileInPlace(vals, q)
 }
 
 // MinMax returns the smallest and largest finite value of a continuous

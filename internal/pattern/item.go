@@ -71,8 +71,9 @@ func (it Item) Format(d *dataset.Dataset) string {
 		formatBound(it.Range.Lo), name, formatBound(it.Range.Hi))
 }
 
-// key renders a canonical, collision-free encoding of the item.
-func (it Item) key() string {
+// Key renders a canonical, collision-free encoding of the item; an
+// itemset's key joins its items' keys with "|" in attribute order.
+func (it Item) Key() string {
 	if it.Kind == dataset.Categorical {
 		return strconv.Itoa(it.Attr) + "=" + strconv.Itoa(it.Code)
 	}

@@ -91,7 +91,7 @@ func (s Itemset) Attrs() []int {
 func (s Itemset) Key() string {
 	parts := make([]string, len(s.items))
 	for i, x := range s.items {
-		parts[i] = x.key()
+		parts[i] = x.Key()
 	}
 	return strings.Join(parts, "|")
 }

@@ -197,6 +197,9 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 func (m *miner) evaluate(level int, frontier []node, alpha float64) ([]node, int) {
 	var survivors []node
 	emitted := 0
+	// The χ² optimistic-estimate rule's critical value depends only on the
+	// level's α and the group count: compute it once per level.
+	crit := stats.ChiSquareQuantile(1-alpha, len(m.sizes)-1)
 	for _, nd := range frontier {
 		m.res.Candidates++
 		sup := nd.supports
@@ -224,7 +227,7 @@ func (m *miner) evaluate(level int, frontier []node, alpha float64) ([]node, int
 		}
 
 		// Pruning rules decide whether children are generated.
-		if m.prune(level, nd, sup, alpha) {
+		if m.prune(level, nd, sup, crit) {
 			m.res.Pruned++
 			continue
 		}
@@ -234,8 +237,8 @@ func (m *miner) evaluate(level int, frontier []node, alpha float64) ([]node, int
 }
 
 // prune applies STUCCO's rules to a counted candidate; true means do not
-// expand its children.
-func (m *miner) prune(level int, nd node, sup pattern.Supports, alpha float64) bool {
+// expand its children. crit is the χ² critical value at the level's α.
+func (m *miner) prune(level int, nd node, sup pattern.Supports, crit float64) bool {
 	// Minimum deviation size: the itemset must have support over δ in at
 	// least one group, or no specialization can be a large contrast.
 	if !sup.LargeIn(m.cfg.Delta) {
@@ -259,7 +262,6 @@ func (m *miner) prune(level int, nd node, sup pattern.Supports, alpha float64) b
 	// cannot reach the critical value at the current level's α, no
 	// descendant can be significant.
 	bound := stats.ChiSquareOptimistic(sup.Count, m.sizes)
-	crit := stats.ChiSquareQuantile(1-alpha, len(m.sizes)-1)
 	if bound < crit {
 		m.rec.PruneHit(metrics.PruneChiSquareOE)
 		if m.tr.Enabled() {
