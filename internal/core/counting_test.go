@@ -21,10 +21,13 @@ const countingGoldenPath = "testdata/counting_golden.txt"
 
 // countingGoldenCases are the inputs of the counting golden digest: a
 // categorical-heavy and a mixed dataset, default pruning and filter,
-// mined sequentially and with parallel workers.
+// mined sequentially and with parallel workers, at depth 2 and at depth 3
+// (the first depth whose frontier is built from materialized child
+// covers).
 func countingGoldenCases() []struct {
 	name    string
 	d       *dataset.Dataset
+	depth   int
 	workers int
 } {
 	adult := datagen.Adult(datagen.AdultConfig{Seed: 5, Bachelors: 1200, Doctorate: 300})
@@ -34,12 +37,19 @@ func countingGoldenCases() []struct {
 	type tc = struct {
 		name    string
 		d       *dataset.Dataset
+		depth   int
 		workers int
 	}
 	var out []tc
-	for _, c := range []tc{{name: "mixed/adult", d: adult}, {name: "categorical/manufacturing", d: manu}} {
-		for _, w := range []int{1, 8} {
-			out = append(out, tc{name: fmt.Sprintf("%s workers=%d", c.name, w), d: c.d, workers: w})
+	for _, depth := range []int{2, 3} {
+		for _, c := range []tc{{name: "mixed/adult", d: adult}, {name: "categorical/manufacturing", d: manu}} {
+			for _, w := range []int{1, 8} {
+				name := fmt.Sprintf("%s workers=%d", c.name, w)
+				if depth != 2 {
+					name = fmt.Sprintf("%s depth=%d workers=%d", c.name, depth, w)
+				}
+				out = append(out, tc{name: name, d: c.d, depth: depth, workers: w})
+			}
 		}
 	}
 	return out
@@ -47,8 +57,9 @@ func countingGoldenCases() []struct {
 
 // countingDigest renders the values a support-counting engine decides:
 // each contrast's key, per-group counts, the exact bits of its score,
-// chi-square and p-value, its meaningfulness classification, and the
-// run's partition count.
+// chi-square and p-value, its meaningfulness classification, the run's
+// partition count, every other Stats counter, and each level's frontier
+// and survivor counts (r must carry a metrics snapshot).
 func countingDigest(r Result) []string {
 	var lines []string
 	for i, c := range r.Contrasts {
@@ -62,7 +73,13 @@ func countingDigest(r Result) []string {
 		}
 		lines = append(lines, line)
 	}
-	return append(lines, fmt.Sprintf("partitions=%d", r.Stats.PartitionsEvaluated))
+	lines = append(lines, fmt.Sprintf("partitions=%d", r.Stats.PartitionsEvaluated),
+		fmt.Sprintf("pruned=%d sdad_calls=%d merges=%d filtered=%d",
+			r.Stats.SpacesPruned, r.Stats.SDADCalls, r.Stats.MergeOps, r.Stats.FilteredOut))
+	for _, l := range r.Metrics.Levels {
+		lines = append(lines, fmt.Sprintf("level=%d nodes=%d survivors=%d", l.Level, l.Nodes, l.Survivors))
+	}
+	return lines
 }
 
 // readCountingGolden parses the digest file into its "== <case>" sections.
@@ -94,8 +111,8 @@ func readCountingGolden(t *testing.T) map[string][]string {
 // TestCountingGoldenEquality: the bitmap support-counting engine
 // reproduces, bit for bit, the reference digest both counting engines
 // agreed on — same contrasts in the same order, same supports, same
-// scores and test statistics, same classifications, same work counter —
-// sequentially and with parallel workers.
+// scores and test statistics, same classifications, same work counters
+// and per-level frontier sizes — sequentially and with parallel workers.
 func TestCountingGoldenEquality(t *testing.T) {
 	golden := readCountingGolden(t)
 	for _, tc := range countingGoldenCases() {
@@ -104,7 +121,7 @@ func TestCountingGoldenEquality(t *testing.T) {
 			t.Errorf("%s: no reference digest in %s", tc.name, countingGoldenPath)
 			continue
 		}
-		got := countingDigest(Mine(tc.d, Config{MaxDepth: 2, Workers: tc.workers}))
+		got := countingDigest(Mine(tc.d, Config{MaxDepth: tc.depth, Workers: tc.workers, Metrics: metrics.New()}))
 		if len(got) != len(want) {
 			t.Errorf("%s: digest has %d lines, reference %d", tc.name, len(got), len(want))
 		}
