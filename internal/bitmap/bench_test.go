@@ -55,16 +55,15 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkAndCount(b *testing.B) {
-	s1 := New(1 << 20)
-	s2 := New(1 << 20)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<18; i++ {
-		s1.Add(rng.Intn(1 << 20))
-		s2.Add(rng.Intn(1 << 20))
-	}
+// BenchmarkAndGroupCounts measures the frontier's counting kernel: a
+// lazy cover (parent ∧ value bitmap) popcounted against both group masks
+// in one pass, with no intersection written.
+func BenchmarkAndGroupCounts(b *testing.B) {
+	d := benchData(100000)
+	ix := NewIndex(d)
+	counts := make([]int, d.NumGroups())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s1.AndCount(s2)
+		ix.AndGroupCountsInto(ix.Value(0, 1), ix.Value(1, 2), counts)
 	}
 }

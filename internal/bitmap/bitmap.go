@@ -66,16 +66,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// AndCount returns |s ∩ o| without materializing the intersection — the
-// hot operation when counting a candidate's per-group supports.
-func (s *Set) AndCount(o *Set) int {
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w & o.words[i])
-	}
-	return c
-}
-
 // And returns a new set s ∩ o.
 func (s *Set) And(o *Set) *Set {
 	out := New(s.n)
@@ -85,50 +75,16 @@ func (s *Set) And(o *Set) *Set {
 	return out
 }
 
-// AndCountInto is the fused intersection kernel: one pass over the packed
-// words computes dst = s ∩ o and its popcount together, instead of an And
-// pass followed by a Count/Any pass. dst must share the universe; every
-// word of dst is written, so dst may come from an Arena with undefined
-// contents. Returns |s ∩ o|.
-func (s *Set) AndCountInto(o, dst *Set) int {
-	c := 0
-	sw, ow, dw := s.words, o.words, dst.words
-	if len(sw) == 0 {
-		return 0
-	}
-	_ = dw[len(sw)-1] // one bounds check for the loop
-	_ = ow[len(sw)-1]
-	for i, w := range sw {
-		w &= ow[i]
-		dw[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// AndCountAtLeast reports whether |s ∩ o| >= k without always completing
-// the count: it succeeds as soon as the running popcount reaches k, and
-// fails as soon as the remaining-words upper bound (64 bits per unseen
-// word) cannot lift the running count to k. Exactly equivalent to
-// AndCount(o) >= k; k <= 0 is trivially true.
-func (s *Set) AndCountAtLeast(o *Set, k int) bool {
-	if k <= 0 {
-		return true
-	}
-	c := 0
-	sw, ow := s.words, o.words
-	remaining := len(sw) * 64
-	for i, w := range sw {
-		c += bits.OnesCount64(w & ow[i])
-		if c >= k {
+// AndAny reports whether s ∩ o is non-empty without materializing or
+// counting it: it stops at the first word the two sets share.
+func (s *Set) AndAny(o *Set) bool {
+	ow := o.words[:len(s.words)]
+	for i, w := range s.words {
+		if w&ow[i] != 0 {
 			return true
 		}
-		remaining -= 64
-		if c+remaining < k {
-			return false
-		}
 	}
-	return c >= k
+	return false
 }
 
 // AndInto writes s ∩ o into dst (which must share the universe) and
@@ -258,16 +214,30 @@ func (ix *Index) GroupCounts(cover *Set) []int {
 // result is written into out (len = number of groups) and is exactly
 // GroupCounts — the bit-identical guarantee the golden-equality tests pin.
 func (ix *Index) GroupCountsInto(cover *Set, out []int) {
+	ix.AndGroupCountsInto(cover, nil, out)
+}
+
+// AndGroupCountsInto counts the lazy cover a ∩ b against every group mask
+// in the same single pass, without writing the intersection anywhere: the
+// per-group counts of a child candidate whose cover is its parent's cover
+// ANDed with one value bitmap. A nil b means a alone.
+func (ix *Index) AndGroupCountsInto(a, b *Set, out []int) {
 	for g := range out {
 		out[g] = 0
+	}
+	aw := a.words
+	bw := aw
+	if b != nil {
+		bw = b.words[:len(aw)]
 	}
 	switch len(ix.groups) {
 	case 2:
 		// The paper's two-group case, hot enough to unroll: no inner loop,
 		// both masks stream alongside the cover.
-		g0, g1 := ix.groups[0].words, ix.groups[1].words
+		g0, g1 := ix.groups[0].words[:len(aw)], ix.groups[1].words[:len(aw)]
 		c0, c1 := 0, 0
-		for i, w := range cover.words {
+		for i, w := range aw {
+			w &= bw[i]
 			if w == 0 {
 				continue
 			}
@@ -276,7 +246,8 @@ func (ix *Index) GroupCountsInto(cover *Set, out []int) {
 		}
 		out[0], out[1] = c0, c1
 	default:
-		for i, w := range cover.words {
+		for i, w := range aw {
+			w &= bw[i]
 			if w == 0 {
 				continue
 			}
@@ -284,44 +255,6 @@ func (ix *Index) GroupCountsInto(cover *Set, out []int) {
 				out[g] += bits.OnesCount64(w & gs.words[i])
 			}
 		}
-	}
-}
-
-// ChildCovers is the batched sibling-candidate kernel: it intersects a
-// parent cover with every value bitmap of a categorical attribute in one
-// fused pass. The parent word is loaded once per position for all siblings
-// (instead of once per child as with per-child And calls), a zero parent
-// word short-circuits every sibling at once, and each child's popcount is
-// accumulated in the same pass. Child covers are drawn from the arena;
-// empty children are recycled immediately and never emitted. emit is
-// called in ascending code order with the child's cover and exact count —
-// the same covers and counts per-child AndCountInto would produce.
-func (ix *Index) ChildCovers(parent *Set, attr int, a *Arena, emit func(code int, cover *Set, count int)) {
-	vals := ix.values[attr]
-	covers, counts := a.scratch(len(vals))
-	for c := range vals {
-		covers[c] = a.Get()
-		counts[c] = 0
-	}
-	for i, pw := range parent.words {
-		if pw == 0 {
-			for c := range vals {
-				covers[c].words[i] = 0
-			}
-			continue
-		}
-		for c, v := range vals {
-			w := pw & v.words[i]
-			covers[c].words[i] = w
-			counts[c] += bits.OnesCount64(w)
-		}
-	}
-	for c := range vals {
-		if counts[c] == 0 {
-			a.Put(covers[c])
-			continue
-		}
-		emit(c, covers[c], counts[c])
 	}
 }
 

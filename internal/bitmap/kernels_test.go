@@ -42,15 +42,14 @@ func sameSet(a, b *Set) bool {
 	return true
 }
 
-// TestAndCountIntoMatchesNaive: the fused AND+popcount kernel equals the
-// two-pass And+Count on random word patterns, including universes with a
-// trailing partial word, and is correct when dst comes from a dirty arena
-// block (contents undefined).
+// TestAndCountIntoMatchesNaive: writing an intersection into a reused
+// destination (AndInto) and counting it equals the two-pass And+Count on
+// random word patterns, including universes with a trailing partial word,
+// when dst holds stale bits, and when dst aliases either operand (the
+// in-place form the prune cache uses).
 func TestAndCountIntoMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	arena := NewArena(0) // rebuilt per universe below
 	for _, n := range []int{1, 7, 63, 64, 65, 128, 193, 1000, 4113} {
-		arena = NewArena(n)
 		for _, p := range []float64{0, 0.01, 0.2, 0.5, 0.97, 1} {
 			for trial := 0; trial < 8; trial++ {
 				a := randomSet(rng, n, p)
@@ -58,47 +57,45 @@ func TestAndCountIntoMatchesNaive(t *testing.T) {
 				want, wantCount := naiveAndCount(a, b)
 
 				dst := New(n)
-				if got := a.AndCountInto(b, dst); got != wantCount {
-					t.Fatalf("n=%d p=%v: AndCountInto = %d, naive = %d", n, p, got, wantCount)
-				} else if !sameSet(dst, want) {
-					t.Fatalf("n=%d p=%v: fused intersection differs from And", n, p)
+				if got := a.AndInto(b, dst); got != dst {
+					t.Fatalf("n=%d p=%v: AndInto did not return dst", n, p)
+				} else if got.Count() != wantCount || !sameSet(got, want) {
+					t.Fatalf("n=%d p=%v: AndInto count %d, naive %d", n, p, got.Count(), wantCount)
 				}
 
-				// Dirty-reuse path: poison an arena block, release it, and
-				// let the kernel overwrite every word.
-				poison := arena.Get()
-				poison.Fill()
-				arena.Put(poison)
-				dirty := arena.Get()
-				if got := a.AndCountInto(b, dirty); got != wantCount || !sameSet(dirty, want) {
-					t.Fatalf("n=%d p=%v: fused kernel wrong on dirty arena block", n, p)
+				// Stale destination: every word must be overwritten.
+				dirty := New(n)
+				dirty.Fill()
+				if got := a.AndInto(b, dirty); got.Count() != wantCount || !sameSet(got, want) {
+					t.Fatalf("n=%d p=%v: AndInto wrong on a stale destination", n, p)
 				}
-				arena.Put(dirty)
+
+				// Aliased destination, on copies so a and b stay intact.
+				left, right := a.And(a), b.And(b)
+				if got := left.AndInto(b, left); got.Count() != wantCount || !sameSet(got, want) {
+					t.Fatalf("n=%d p=%v: AndInto wrong with dst = receiver", n, p)
+				}
+				if got := a.AndInto(right, right); got.Count() != wantCount || !sameSet(got, want) {
+					t.Fatalf("n=%d p=%v: AndInto wrong with dst = operand", n, p)
+				}
 			}
 		}
 	}
 }
 
-// TestAndCountAtLeastMatchesNaive: the early-exit kernel (success exit on
-// reaching k, failure exit on the remaining-words upper bound) agrees with
-// the naive count for thresholds at and around the true count, at the
-// extremes, and on trailing-partial-word universes.
-func TestAndCountAtLeastMatchesNaive(t *testing.T) {
+// TestAndAnyMatchesNaive: the early-exit emptiness test of an intersection
+// agrees with a full count on random word patterns, including universes
+// with a trailing partial word and empty and full operands.
+func TestAndAnyMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 63, 64, 65, 129, 1000, 4113} {
-		for _, p := range []float64{0, 0.05, 0.5, 1} {
+		for _, p := range []float64{0, 0.001, 0.05, 0.5, 1} {
 			for trial := 0; trial < 8; trial++ {
 				a := randomSet(rng, n, p)
-				b := randomSet(rng, n, rng.Float64())
+				b := randomSet(rng, n, rng.Float64()*p)
 				_, c := naiveAndCount(a, b)
-				// Threshold-at-boundary cases: k = c is the largest k that
-				// must succeed, k = c+1 the smallest that must fail.
-				ks := []int{-1, 0, 1, c - 1, c, c + 1, c * 2, n, n + 64}
-				for _, k := range ks {
-					if got, want := a.AndCountAtLeast(b, k), c >= k || k <= 0; got != want {
-						t.Fatalf("n=%d count=%d k=%d: AndCountAtLeast = %v, want %v",
-							n, c, k, got, want)
-					}
+				if got := a.AndAny(b); got != (c > 0) {
+					t.Fatalf("n=%d p=%v count=%d: AndAny = %v", n, p, c, got)
 				}
 			}
 		}
@@ -126,97 +123,33 @@ func kernelDataset(rng *rand.Rand, rows, domain, groups int) *dataset.Dataset {
 
 // TestGroupCountsIntoMatchesNaive: the fused multi-mask popcount — both
 // the unrolled two-group path and the general path — equals a per-group
-// AndCount loop on random covers.
+// And+Count loop on random covers, for a single cover and for a lazy
+// cover a ∩ b counted without writing the intersection.
 func TestGroupCountsIntoMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, groups := range []int{2, 3, 5} {
-		for _, rows := range []int{65, 130, 1001} {
+		for _, rows := range []int{7, 63, 64, 65, 130, 1001, 4113} {
 			d := kernelDataset(rng, rows, 6, groups)
 			ix := NewIndex(d)
 			for trial := 0; trial < 10; trial++ {
-				cover := randomSet(rng, rows, rng.Float64())
+				a := randomSet(rng, rows, rng.Float64())
+				b := randomSet(rng, rows, rng.Float64())
+				inter, _ := naiveAndCount(a, b)
 				got := make([]int, d.NumGroups())
-				ix.GroupCountsInto(cover, got)
+				ix.GroupCountsInto(a, got)
+				lazy := make([]int, d.NumGroups())
+				ix.AndGroupCountsInto(a, b, lazy)
 				for g := 0; g < d.NumGroups(); g++ {
-					if want := cover.AndCount(ix.Group(g)); got[g] != want {
+					if _, want := naiveAndCount(a, ix.Group(g)); got[g] != want {
 						t.Fatalf("groups=%d rows=%d g=%d: fused %d, naive %d",
 							groups, rows, g, got[g], want)
+					}
+					if _, want := naiveAndCount(inter, ix.Group(g)); lazy[g] != want {
+						t.Fatalf("groups=%d rows=%d g=%d: fused a∩b %d, naive %d",
+							groups, rows, g, lazy[g], want)
 					}
 				}
 			}
 		}
 	}
-}
-
-// TestChildCoversMatchesNaive: the batched sibling kernel emits exactly
-// the non-empty per-code intersections, in ascending code order, with
-// exact counts — identical to per-child And+Count.
-func TestChildCoversMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, rows := range []int{64, 100, 1003} {
-		d := kernelDataset(rng, rows, 8, 2)
-		ix := NewIndex(d)
-		arena := NewArena(rows)
-		for trial := 0; trial < 10; trial++ {
-			parent := randomSet(rng, rows, rng.Float64()*0.6)
-			type child struct {
-				code  int
-				cover *Set
-				count int
-			}
-			var got []child
-			ix.ChildCovers(parent, 0, arena, func(code int, cover *Set, count int) {
-				got = append(got, child{code, cover, count})
-			})
-			var want []child
-			for code := range d.Domain(0) {
-				inter, c := naiveAndCount(parent, ix.Value(0, code))
-				if c > 0 {
-					want = append(want, child{code, inter, c})
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("rows=%d: batch emitted %d children, naive %d", rows, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].code != want[i].code || got[i].count != want[i].count ||
-					!sameSet(got[i].cover, want[i].cover) {
-					t.Fatalf("rows=%d child %d: batch (code=%d,count=%d) vs naive (code=%d,count=%d)",
-						rows, i, got[i].code, got[i].count, want[i].code, want[i].count)
-				}
-			}
-			for _, ch := range got {
-				arena.Put(ch.cover)
-			}
-		}
-	}
-}
-
-// TestArenaRecycling: the free list hands back released blocks before
-// allocating fresh ones, tracks its stats, and rejects foreign universes.
-func TestArenaRecycling(t *testing.T) {
-	a := NewArena(200)
-	s1 := a.Get()
-	s2 := a.Get()
-	if st := a.Stats(); st.Fresh != 2 || st.Reused != 0 {
-		t.Fatalf("after two gets: %+v", st)
-	}
-	a.Put(s1)
-	s3 := a.Get()
-	if s3 != s1 {
-		t.Error("Get did not reuse the released block")
-	}
-	if st := a.Stats(); st.Fresh != 2 || st.Reused != 1 || st.Released != 1 {
-		t.Fatalf("after recycle: %+v", st)
-	}
-	a.Put(New(100)) // wrong universe: must be rejected
-	if st := a.Stats(); st.Released != 1 {
-		t.Error("arena accepted a foreign-universe set")
-	}
-	a.Put(nil)
-	if st := a.Stats(); st.Released != 1 {
-		t.Error("arena accepted nil")
-	}
-	a.Put(s2)
-	a.Put(s3)
 }

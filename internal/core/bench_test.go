@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"sdadcs/internal/datagen"
@@ -38,10 +39,11 @@ func BenchmarkMineMixed(b *testing.B) {
 
 // BenchmarkMineContinuousShape and BenchmarkMineCategoricalShape mine the
 // two dataset shapes of the repository benchmark's mine workloads (the
-// same datagen.UCISpec sizes, other seeds) with one worker, so a CPU or
+// same datagen.UCISpec sizes, other seeds) at 1 and at 2 workers — the
+// repository benchmark mines at one worker per CPU — so a CPU or
 // allocation profile of either needs no separate harness:
 //
-//	go test -run '^$' -bench MineContinuousShape -benchtime 20x \
+//	go test -run '^$' -bench 'MineContinuousShape/workers=1' -benchtime 20x \
 //		-cpuprofile cpu.out -memprofile mem.out ./internal/core
 func BenchmarkMineContinuousShape(b *testing.B) {
 	d := datagen.Planted(datagen.UCISpec{Name: "continuous-shape", Group0: "spam", Group1: "ham",
@@ -56,12 +58,15 @@ func BenchmarkMineCategoricalShape(b *testing.B) {
 }
 
 func benchMineShape(b *testing.B, d *dataset.Dataset, depth int) {
-	cfg := Config{MaxDepth: depth, Workers: 1}
-	Mine(d, cfg) // builds the dataset's shared bitmap index outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mine(d, cfg)
+	Mine(d, Config{MaxDepth: depth}) // builds the dataset's shared bitmap index outside the timer
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := Config{MaxDepth: depth, Workers: workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Mine(d, cfg)
+			}
+		})
 	}
 }
 

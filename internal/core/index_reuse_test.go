@@ -41,24 +41,3 @@ func TestIndexReuseAcrossMineCalls(t *testing.T) {
 		t.Fatalf("dataset index builds = %d after repeated Mines, want 1", got)
 	}
 }
-
-// TestArenaMetricsRecorded: a bitmap-mode run over a dataset deep enough
-// to recycle covers reports the arena's allocation discipline — released
-// covers come back as reuses instead of fresh allocations.
-func TestArenaMetricsRecorded(t *testing.T) {
-	d := datagen.Manufacturing(datagen.ManufacturingConfig{
-		Seed: 7, Population: 900, Failed: 250, Features: 10,
-	})
-	rec := metrics.New()
-	Mine(d, Config{MaxDepth: 3, Metrics: rec})
-	s := rec.Snapshot()
-	if s.ArenaFresh == 0 {
-		t.Fatal("bitmap run recorded no fresh arena allocations")
-	}
-	if s.ArenaReleased == 0 {
-		t.Fatal("bitmap run never released a cover back to the arena")
-	}
-	if s.ArenaReused == 0 {
-		t.Fatal("bitmap run never reused a released cover")
-	}
-}

@@ -71,7 +71,7 @@ func classify(d *dataset.Dataset, cs []pattern.Contrast, alpha float64, memo *su
 	for i, c := range cs {
 		out[i].Redundant = isRedundant(c, alpha, memo)
 		out[i].Unproductive = isUnproductive(d, c, alpha, memo)
-		explainedBy, indep := isIndependentlyProductive(d, c, cs, alpha)
+		explainedBy, indep := isIndependentlyProductive(c, cs, alpha, memo)
 		out[i].NotIndependentlyProductive = !indep
 		out[i].ExplainedBy = explainedBy
 	}
@@ -151,13 +151,16 @@ func isUnproductive(d *dataset.Dataset, c pattern.Contrast, alpha float64, memo 
 // wrongly conclude the surviving pattern carries no signal.
 // It returns the canonical key of the first superset that explains the
 // contrast ("" when the contrast stands on its own).
-func isIndependentlyProductive(d *dataset.Dataset, c pattern.Contrast,
-	all []pattern.Contrast, alpha float64) (explainedBy string, ok bool) {
+//
+// No rows are scanned. SubsetOf is exact item equality, so t = c ∪ e
+// exactly and r(c ∧ e) = r(t): the remainder's per-group counts are
+// memo(c) − memo(t), and the extra items' counts are memo(e).
+func isIndependentlyProductive(c pattern.Contrast, all []pattern.Contrast,
+	alpha float64, memo *supportMemo) (explainedBy string, ok bool) {
 
-	var cover dataset.View
-	haveCover := false
+	var cCounts []int
 	x, y := extremeGroups(c.Supports) // orientation of the original contrast
-	sizes := d.GroupSizes()
+	sizes := memo.sizes
 	for _, t := range all {
 		if t.Set.Len() <= c.Set.Len() || !c.Set.SubsetOf(t.Set) {
 			continue
@@ -170,21 +173,24 @@ func isIndependentlyProductive(d *dataset.Dataset, c pattern.Contrast,
 		if extra.Len() == 0 {
 			continue
 		}
-		if !haveCover {
-			cover = c.Set.Cover(d.All())
-			haveCover = true
+		if cCounts == nil {
+			cCounts = memo.supports(c.Set).Count
 		}
-		extraCover := extra.Cover(d.All())
-		remainder := cover.Subtract(extraCover)
+		tCounts := memo.supports(t.Set).Count
+		remCounts := make([]int, len(sizes))
+		remainder := 0
+		for g := range sizes {
+			remCounts[g] = cCounts[g] - tCounts[g]
+			remainder += remCounts[g]
+		}
 		// An empty remainder means the extra items cover everything c
 		// covers (e.g. a merged full-range artifact): no evidence either
 		// way.
-		if remainder.Len() == 0 {
+		if remainder == 0 {
 			continue
 		}
 		// Universe: rows where the extra conditions do NOT hold.
-		extraCounts := extraCover.GroupCounts()
-		remCounts := remainder.GroupCounts()
+		extraCounts := memo.supports(extra).Count
 		universe := make([]int, len(sizes))
 		for g := range sizes {
 			universe[g] = sizes[g] - extraCounts[g]

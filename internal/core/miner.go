@@ -5,6 +5,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdadcs/internal/bitmap"
@@ -58,7 +59,6 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	m.index = ix
 	m.memo = newSupportMemo(d, ix)
 	m.scratch = make([]sdadScratch, max(cfg.Workers, 1))
-	m.arena = bitmap.NewArena(d.Rows())
 	if built {
 		m.rec.BitmapBuilds(ix.NumBitmaps())
 	} else {
@@ -87,16 +87,11 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 				interrupted = err
 				break
 			}
-			alpha := schedule.LevelAlpha(len(frontier))
-			survivors := m.processLevel(level, frontier, alpha)
+			survivors := m.processLevel(level, frontier, schedule)
 			if level == cfg.MaxDepth {
 				break
 			}
-			next := m.expand(survivors, attrs)
-			// Double-buffer the frontier: the dead level's node slice backs
-			// the next expansion's output.
-			m.spare = frontier[:0]
-			frontier = next
+			frontier = m.expand(survivors, attrs)
 		}
 	}
 
@@ -131,8 +126,6 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 		m.rec.TraceVolume(m.tr.Stats())
 		res.Trace = m.tr.Snapshot()
 	}
-	st := m.arena.Stats()
-	m.rec.ArenaObserve(st.Fresh, st.Reused, st.Released)
 	res.Metrics = m.snapshot()
 	return res, interrupted
 }
@@ -163,13 +156,6 @@ type miner struct {
 	// workers — and other concurrent Mine calls over the same dataset —
 	// share it without locks.
 	index *bitmap.Index
-	// arena recycles cover word blocks across the frontier's AND cascade.
-	// Only the serial expansion step touches it; per-level workers never
-	// allocate or release covers.
-	arena *bitmap.Arena
-	// spare is the previous level's frontier slice, recycled as the next
-	// expand's output buffer (double-buffered levelwise frontiers).
-	spare []node
 	// rec is the optional instrumentation sink (nil = disabled). It is
 	// shared with every per-level worker goroutine; all its operations
 	// are atomic.
@@ -199,31 +185,40 @@ func (m *miner) snapshot() *metrics.Snapshot {
 // node is one entry of the combination frontier: a categorical value
 // context, the rows it covers, and the continuous attributes to be
 // discretized jointly. catSet.Len() + len(contAttrs) equals the level.
-// The cover is a bitmap over the row universe; nil bits = all rows.
+//
+// The cover is lazy: it is base ∧ val over the row universe, where a nil
+// operand stands for every row. base is the parent's materialized cover
+// and val the index value bitmap of the node's last categorical item (nil
+// for a continuous extension). Expansion only builds itemsets; the level
+// workers count base ∧ val without writing it, and write it out only for
+// a node that will have children (survivor). A survivor carries its
+// materialized cover as base with a nil val.
 type node struct {
 	catSet    pattern.Itemset
-	bits      *bitmap.Set
+	base, val *bitmap.Set
 	contAttrs []int
 	lastAttr  int
-	// owned marks bits as an arena-allocated cover exclusive to this node
-	// (a fused-AND result). Shared index value bitmaps and covers aliased
-	// by a continuous extension are never owned, so only owned covers are
-	// ever recycled.
-	owned bool
 }
 
 // nodeOutcome is the result of evaluating one node.
 type nodeOutcome struct {
+	// absent: the node is a categorical extension whose cover is empty.
+	// It takes no part in the level: no stats, no frontier count, no
+	// trace event and no lookup-table insert.
+	absent    bool
 	contrasts []pattern.Contrast
 	inserts   []string
 	survived  bool
-	stats     Stats
+	// cover is the materialized cover of a survivor below MaxDepth (nil
+	// when that cover is every row).
+	cover *bitmap.Set
+	stats Stats
 }
 
 // levelOne builds the initial frontier: one node per categorical value and
 // one per continuous attribute. A level-1 categorical cover is the value's
 // index bitmap itself (shared, never mutated); a continuous node covers
-// the full universe (nil bits).
+// the full universe.
 func (m *miner) levelOne(attrs []int) []node {
 	var out []node
 	for _, attr := range attrs {
@@ -231,7 +226,7 @@ func (m *miner) levelOne(attrs []int) []node {
 			for code := range m.d.Domain(attr) {
 				out = append(out, node{
 					catSet:   pattern.NewItemset(pattern.CatItem(attr, code)),
-					bits:     m.index.Value(attr, code),
+					val:      m.index.Value(attr, code),
 					lastAttr: attr,
 				})
 			}
@@ -246,83 +241,92 @@ func (m *miner) levelOne(attrs []int) []node {
 	return out
 }
 
-// expand generates the next level: every surviving node extended with
-// every attribute after its last (each combination visited exactly once).
-// A parent's categorical extensions are computed by the batched sibling
-// kernel: one fused AND+popcount pass shared by every sibling code, with
-// covers drawn from (and empty covers recycled to) the arena. Empty covers
-// are dropped, and a parent's own cover is recycled as soon as its last
-// child is built — unless a continuous extension aliases it.
+// expand generates the next level: every survivor extended with every
+// attribute after its last (each combination visited exactly once). It
+// builds itemsets only: a categorical child's cover stays the lazy pair
+// (parent cover, value bitmap), and a continuous child shares its
+// parent's cover.
 func (m *miner) expand(nodes []node, attrs []int) []node {
-	out := m.spare[:0]
-	m.spare = nil
+	// Size the level up front: one child per later categorical code and
+	// one per later continuous attribute.
+	size := 0
 	for i := range nodes {
-		nd := nodes[i]
-		// escaped: a continuous extension shares the parent cover by
-		// reference, so the cover outlives this expansion round.
-		escaped := false
+		for _, attr := range attrs {
+			switch {
+			case attr <= nodes[i].lastAttr:
+			case m.d.Attr(attr).Kind == dataset.Categorical:
+				size += len(m.d.Domain(attr))
+			default:
+				size++
+			}
+		}
+	}
+	out := make([]node, 0, size)
+	for i := range nodes {
+		nd := &nodes[i]
 		for _, attr := range attrs {
 			if attr <= nd.lastAttr {
 				continue
 			}
 			if m.d.Attr(attr).Kind == dataset.Categorical {
-				if nd.bits != nil {
-					m.rec.BitmapAnds(len(m.d.Domain(attr)))
-					m.index.ChildCovers(nd.bits, attr, m.arena,
-						func(code int, cover *bitmap.Set, count int) {
-							out = append(out, node{
-								catSet:    nd.catSet.With(pattern.CatItem(attr, code)),
-								contAttrs: nd.contAttrs,
-								lastAttr:  attr,
-								bits:      cover,
-								owned:     true,
-							})
-						})
-				} else {
-					// Parent covers every row: each child cover is the
-					// (shared, immutable) value bitmap itself.
-					for code := range m.d.Domain(attr) {
-						val := m.index.Value(attr, code)
-						if !val.Any() {
-							continue
-						}
-						out = append(out, node{
-							catSet:    nd.catSet.With(pattern.CatItem(attr, code)),
-							contAttrs: nd.contAttrs,
-							lastAttr:  attr,
-							bits:      val,
-						})
-					}
+				for code := range m.d.Domain(attr) {
+					out = append(out, node{
+						catSet:    nd.catSet.With(pattern.CatItem(attr, code)),
+						base:      nd.base,
+						val:       m.index.Value(attr, code),
+						contAttrs: nd.contAttrs,
+						lastAttr:  attr,
+					})
 				}
 			} else {
 				conts := make([]int, len(nd.contAttrs), len(nd.contAttrs)+1)
 				copy(conts, nd.contAttrs)
-				conts = append(conts, attr)
-				if nd.bits != nil {
-					escaped = true
-				}
 				out = append(out, node{
 					catSet:    nd.catSet,
-					bits:      nd.bits,
-					contAttrs: conts,
+					base:      nd.base,
+					contAttrs: append(conts, attr),
 					lastAttr:  attr,
 				})
 			}
-		}
-		if nd.owned && !escaped {
-			m.arena.Put(nd.bits)
 		}
 	}
 	return out
 }
 
+// absent reports whether a node is a categorical extension with an empty
+// cover — a child the search never counts. Level-1 nodes are never absent:
+// the first level holds every domain code.
+func (nd node) absent(level int) bool {
+	switch {
+	case level == 1 || nd.val == nil:
+		return false
+	case nd.base == nil:
+		return !nd.val.Any()
+	default:
+		return !nd.base.AndAny(nd.val)
+	}
+}
+
+// materialize writes out a node's cover base ∧ val. When one operand is
+// nil (every row) the cover aliases the other, with no copy.
+func (m *miner) materialize(nd node) *bitmap.Set {
+	switch {
+	case nd.base == nil:
+		return nd.val
+	case nd.val == nil:
+		return nd.base
+	}
+	m.rec.BitmapAnds(1)
+	return nd.base.And(nd.val)
+}
+
 // processLevel evaluates all nodes of one level — in parallel when
 // cfg.Workers > 1 (the §6 scaling strategy) — then applies the buffered
 // lookup-table inserts and top-k additions in node order, so results are
-// identical for any worker count.
-func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
-	threshold := m.list.Threshold()
-	crit := chiSquareCrit(alpha, len(m.sizes))
+// identical for any worker count. Absent children are found first, because
+// the level's Bonferroni α counts the present nodes only. At MaxDepth no
+// node has children, so no survivor is returned.
+func (m *miner) processLevel(level int, frontier []node, schedule *stats.BonferroniSchedule) []node {
 	outcomes := make([]nodeOutcome, len(frontier))
 
 	var levelStart time.Time
@@ -332,49 +336,32 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 		levelTS = m.tr.Now()
 	}
 
-	if m.cfg.Workers <= 1 {
-		for i := range frontier {
-			if m.cancelled() {
-				break
+	present := len(frontier)
+	if level > 1 {
+		m.forEachNode(level, len(frontier), func(_, i int) {
+			outcomes[i].absent = frontier[i].absent(level)
+		})
+		for i := range outcomes {
+			if outcomes[i].absent {
+				present--
 			}
-			outcomes[i] = m.evaluateTimed(level, 0, frontier[i], alpha, crit, threshold)
 		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < m.cfg.Workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				loop := func() {
-					for i := range work {
-						if m.cancelled() {
-							continue // keep draining so the producer never blocks
-						}
-						outcomes[i] = m.evaluateTimed(level, worker, frontier[i], alpha, crit, threshold)
-					}
-				}
-				if m.cfg.PprofLabels {
-					labels := pprof.Labels(
-						"sdadcs_level", strconv.Itoa(level),
-						"sdadcs_worker", strconv.Itoa(worker),
-					)
-					pprof.Do(context.Background(), labels, func(context.Context) { loop() })
-				} else {
-					loop()
-				}
-			}(w)
-		}
-		for i := range frontier {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
 	}
+	alpha := schedule.LevelAlpha(present)
+	crit := chiSquareCrit(alpha, len(m.sizes))
+	threshold := m.list.Threshold()
+	m.forEachNode(level, len(frontier), func(worker, i int) {
+		if !outcomes[i].absent {
+			outcomes[i] = m.evaluateTimed(level, worker, frontier[i], alpha, crit, threshold)
+		}
+	})
 
 	var survivors []node
-	contrasts := 0
+	surviving, contrasts := 0, 0
 	for i, o := range outcomes {
+		if o.absent {
+			continue
+		}
 		m.stats.add(o.stats)
 		contrasts += len(o.contrasts)
 		for _, c := range o.contrasts {
@@ -384,20 +371,69 @@ func (m *miner) processLevel(level int, frontier []node, alpha float64) []node {
 			m.table[key] = struct{}{}
 		}
 		if o.survived {
-			survivors = append(survivors, frontier[i])
-		} else if frontier[i].owned {
-			// Dead end: its cover feeds the next level's allocations.
-			m.arena.Put(frontier[i].bits)
+			surviving++
+			if level < m.cfg.MaxDepth {
+				survivors = append(survivors, frontier[i].parent(o.cover))
+			}
 		}
 	}
 	if m.rec.Enabled() {
-		m.rec.LevelObserve(level, len(frontier), len(survivors), contrasts,
+		m.rec.LevelObserve(level, present, surviving, contrasts,
 			m.cfg.Workers, time.Since(levelStart))
 	}
 	if m.tr.Enabled() {
-		m.tr.Level(levelTS, level, len(frontier), len(survivors), time.Since(levelStart))
+		m.tr.Level(levelTS, level, present, surviving, time.Since(levelStart))
 	}
 	return survivors
+}
+
+// parent returns the survivor nd as the parent of the next expansion: its
+// materialized cover becomes the base its children extend.
+func (nd node) parent(cover *bitmap.Set) node {
+	return node{catSet: nd.catSet, base: cover, contAttrs: nd.contAttrs, lastAttr: nd.lastAttr}
+}
+
+// forEachNode calls fn(worker, i) for every i in [0, n): inline with one
+// worker, otherwise on cfg.Workers goroutines that claim contiguous chunks
+// of indices from an atomic cursor. Cancellation is checked once per
+// chunk; an unclaimed index is left untouched.
+func (m *miner) forEachNode(level, n int, fn func(worker, i int)) {
+	workers := max(m.cfg.Workers, 1)
+	chunk := max(1, n/(8*workers))
+	var cursor atomic.Int64
+	loop := func(worker int) {
+		for {
+			end := int(cursor.Add(int64(chunk)))
+			start := end - chunk
+			if start >= n || m.cancelled() {
+				return
+			}
+			for i := start; i < min(end, n); i++ {
+				fn(worker, i)
+			}
+		}
+	}
+	if workers == 1 {
+		loop(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			if m.cfg.PprofLabels {
+				labels := pprof.Labels(
+					"sdadcs_level", strconv.Itoa(level),
+					"sdadcs_worker", strconv.Itoa(worker),
+				)
+				pprof.Do(context.Background(), labels, func(context.Context) { loop(worker) })
+			} else {
+				loop(worker)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // evaluateTimed wraps evaluate with the per-node latency observation; the
@@ -414,13 +450,15 @@ func (m *miner) evaluateTimed(level, worker int, nd node, alpha, crit, threshold
 
 // mineDFS explores nodes pre-order: each node is evaluated and its
 // children fully explored before its siblings. Lookup-table inserts and
-// top-k additions apply immediately. Covers are recycled at the same
-// points as the levelwise order: inside expand for explored nodes, right
-// here for dead ends and max-depth leaves.
+// top-k additions apply immediately. Absent children are skipped and
+// covers materialized by the same rules as the levelwise order.
 func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha, crit float64) {
 	for _, nd := range nodes {
 		if m.cancelled() {
 			return
+		}
+		if nd.absent(level) {
+			continue
 		}
 		o := m.evaluateTimed(level, 0, nd, alpha, crit, m.list.Threshold())
 		m.stats.add(o.stats)
@@ -431,9 +469,7 @@ func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha, crit float6
 			m.table[key] = struct{}{}
 		}
 		if o.survived && level < m.cfg.MaxDepth {
-			m.mineDFS(m.expand([]node{nd}, attrs), attrs, level+1, alpha, crit)
-		} else if nd.owned {
-			m.arena.Put(nd.bits)
+			m.mineDFS(m.expand([]node{nd.parent(o.cover)}, attrs), attrs, level+1, alpha, crit)
 		}
 	}
 }
@@ -467,43 +503,52 @@ func (m *miner) evaluate(level, worker int, nd node, alpha, crit, threshold floa
 		tr:        m.tr,
 		worker:    worker,
 	}
-	contrasts := run.run(nd.catSet, m.coverView(nd))
-	return nodeOutcome{
+	cover := m.materialize(nd)
+	contrasts := run.run(nd.catSet, m.coverView(cover))
+	o := nodeOutcome{
 		contrasts: contrasts,
 		inserts:   run.inserts,
 		survived:  run.alive,
 		stats:     run.stats,
 	}
+	if o.survived && level < m.cfg.MaxDepth {
+		o.cover = cover
+	}
+	return o
 }
 
-// coverView returns the node's cover as a row view. This is the lazy
-// materialization fallback: SDAD-CS box interiors need raw row indices for
-// median computation, so a bitmap cover converts to a sorted row slice
-// exactly when (and only when) a continuous combination is handed to
-// Algorithm 1.
-func (m *miner) coverView(nd node) dataset.View {
-	if nd.bits == nil {
+// coverView returns a materialized cover as a row view. SDAD-CS box
+// interiors need raw row indices for median computation, so a bitmap
+// cover converts to a sorted row slice exactly when (and only when) a
+// continuous combination is handed to Algorithm 1.
+func (m *miner) coverView(cover *bitmap.Set) dataset.View {
+	if cover == nil {
 		return m.d.All()
 	}
 	m.rec.BitmapMaterialize()
-	return m.d.Restrict(nd.bits.Rows())
+	return m.d.Restrict(cover.Rows())
 }
 
-// groupCounts counts the node's cover per group: a popcount of the cover
-// bitmap against every group mask.
+// groupCounts counts the node's lazy cover per group: one fused pass of
+// base ∧ val against every group mask, with no intersection written.
 func (m *miner) groupCounts(nd node) []int {
-	if nd.bits == nil {
-		// Full-universe cover: the group masks are their own counts.
-		counts := make([]int, len(m.sizes))
+	// The counts slice escapes into pattern.Supports, so it is freshly
+	// allocated.
+	counts := make([]int, len(m.sizes))
+	a, b := nd.base, nd.val
+	if a == nil {
+		a, b = b, nil
+	}
+	if a == nil {
+		// Full-universe cover: the group sizes are its counts.
 		copy(counts, m.sizes)
 		return counts
 	}
+	if b != nil {
+		m.rec.BitmapAnds(1)
+	}
 	m.rec.BitmapPopcounts(len(m.sizes))
-	// Fused multi-mask kernel: one pass over the cover counts every group,
-	// skipping zero cover words for all groups at once. The counts slice
-	// escapes into pattern.Supports, so it is freshly allocated.
-	counts := make([]int, len(m.sizes))
-	m.index.GroupCountsInto(nd.bits, counts)
+	m.index.AndGroupCountsInto(a, b, counts)
 	return counts
 }
 
@@ -537,6 +582,9 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit floa
 		return o
 	}
 	o.survived = !dec.skipChildren
+	if o.survived && level < m.cfg.MaxDepth {
+		o.cover = m.materialize(nd)
+	}
 	if !dec.skipContrast && sup.MaxDiff() > m.cfg.Delta {
 		if test, err := stats.ChiSquare2xK(sup.Count, m.sizes); err == nil && test.P < alpha {
 			if m.tr.Enabled() {

@@ -188,11 +188,6 @@ func TestViewEmptyFilterIsEmpty(t *testing.T) {
 	if rows := none.Rows(); len(rows) != 0 {
 		t.Errorf("empty filter Rows = %v", rows)
 	}
-	// Subtracting a view from itself is empty too.
-	self := d.All().Subtract(d.All())
-	if self.Len() != 0 {
-		t.Errorf("self-subtract Len = %d, want 0", self.Len())
-	}
 	// Chaining off an empty view stays empty.
 	if none.FilterRange(0, 0, 100).Len() != 0 {
 		t.Error("filter on empty view should stay empty")
@@ -237,10 +232,6 @@ func TestViewSetOps(t *testing.T) {
 	inter := a.Intersect(b)
 	if inter.Len() != 2 || inter.Row(0) != 2 || inter.Row(1) != 3 {
 		t.Errorf("Intersect rows = %v", inter.Rows())
-	}
-	diff := a.Subtract(b)
-	if diff.Len() != 2 || diff.Row(0) != 0 || diff.Row(1) != 1 {
-		t.Errorf("Subtract rows = %v", diff.Rows())
 	}
 }
 

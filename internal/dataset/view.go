@@ -189,15 +189,3 @@ func (v View) Intersect(w View) View {
 		return ok
 	})
 }
-
-// Subtract returns the view containing rows of v not present in w.
-func (v View) Subtract(w View) View {
-	inW := make(map[int]struct{}, w.Len())
-	for i := 0; i < w.Len(); i++ {
-		inW[w.Row(i)] = struct{}{}
-	}
-	return v.Filter(func(row int) bool {
-		_, ok := inW[row]
-		return !ok
-	})
-}

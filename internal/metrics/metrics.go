@@ -163,11 +163,6 @@ type Recorder struct {
 	bitmapPopcounts    atomic.Int64 // popcount passes (group counts, cover sizes)
 	bitmapMaterialized atomic.Int64 // lazy cover → row-slice materializations
 
-	// Cover-arena allocation discipline (one observation per Mine call).
-	arenaFresh    atomic.Int64 // covers allocated because the free list was empty
-	arenaReused   atomic.Int64 // covers recycled from the free list
-	arenaReleased atomic.Int64 // covers returned to the free list
-
 	// Top-k threshold dynamics.
 	thresholdUpdates atomic.Int64
 	thresholdBits    atomic.Uint64 // float64 bits of the latest threshold
@@ -333,18 +328,6 @@ func (r *Recorder) BitmapAnds(n int) {
 	r.bitmapAndOps.Add(int64(n))
 }
 
-// ArenaObserve accumulates one Mine call's cover-arena counters: covers
-// freshly allocated, covers recycled from the free list, and covers
-// released back to it.
-func (r *Recorder) ArenaObserve(fresh, reused, released int64) {
-	if r == nil {
-		return
-	}
-	r.arenaFresh.Add(fresh)
-	r.arenaReused.Add(reused)
-	r.arenaReleased.Add(released)
-}
-
 // BitmapPopcounts counts n popcount passes (per-group support counts and
 // cover cardinalities).
 func (r *Recorder) BitmapPopcounts(n int) {
@@ -451,9 +434,9 @@ type Snapshot struct {
 	BitmapAndOps      int64             `json:"bitmap_and_ops"`
 	BitmapPopcounts   int64             `json:"bitmap_popcounts"`
 	BitmapLazyRows    int64             `json:"bitmap_lazy_rows"`
-	ArenaFresh        int64             `json:"arena_fresh"`
-	ArenaReused       int64             `json:"arena_reused"`
-	ArenaReleased     int64             `json:"arena_released"`
+	ArenaFresh        int64             `json:"arena_fresh"`    // always 0: the cover arena is retired;
+	ArenaReused       int64             `json:"arena_reused"`   // the three fields stay for the JSON
+	ArenaReleased     int64             `json:"arena_released"` // shape and for perfbench, which reads them
 	ThresholdUpdates  int64             `json:"threshold_updates"`
 	Threshold         float64           `json:"threshold"`
 	NodeEval          HistogramSnapshot `json:"node_eval"`
@@ -505,9 +488,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		BitmapAndOps:      r.bitmapAndOps.Load(),
 		BitmapPopcounts:   r.bitmapPopcounts.Load(),
 		BitmapLazyRows:    r.bitmapMaterialized.Load(),
-		ArenaFresh:        r.arenaFresh.Load(),
-		ArenaReused:       r.arenaReused.Load(),
-		ArenaReleased:     r.arenaReleased.Load(),
 		ThresholdUpdates:  r.thresholdUpdates.Load(),
 		Threshold:         math.Float64frombits(r.thresholdBits.Load()),
 		NodeEval:          r.nodeEval.Snapshot(),

@@ -39,6 +39,15 @@ func (s Itemset) Items() []Item {
 // With returns a new itemset with the extra item added (or replacing an
 // existing item on the same attribute).
 func (s Itemset) With(it Item) Itemset {
+	if n := len(s.items); n == 0 || s.items[n-1].Attr < it.Attr {
+		// Appending past the last attribute keeps the order: copy into a
+		// fresh slice (never the receiver's backing array, which sibling
+		// itemsets share) with no re-sort.
+		out := make([]Item, n+1)
+		copy(out, s.items)
+		out[n] = it
+		return Itemset{items: out}
+	}
 	out := make([]Item, 0, len(s.items)+1)
 	replaced := false
 	for _, x := range s.items {

@@ -106,6 +106,45 @@ func TestItemsetWithWithout(t *testing.T) {
 	}
 }
 
+// TestItemsetWithMatchesNewItemset: With equals building the itemset from
+// scratch — same items in the same order, same Key — whether the new item
+// lands after every attribute (the append fast path), before or between
+// them, or replaces the item on its attribute. Appending never writes into
+// the receiver's backing array, which siblings share.
+func TestItemsetWithMatchesNewItemset(t *testing.T) {
+	base := NewItemset(CatItem(2, 1), RangeItem(5, 0, 10))
+	cases := []struct {
+		name string
+		it   Item
+		want Itemset
+	}{
+		{"ordered append", CatItem(7, 3), NewItemset(append(base.Items(), CatItem(7, 3))...)},
+		{"ordered append, range", RangeItem(9, -1, 1), NewItemset(append(base.Items(), RangeItem(9, -1, 1))...)},
+		{"unordered, first", CatItem(0, 4), NewItemset(append(base.Items(), CatItem(0, 4))...)},
+		{"unordered, between", RangeItem(3, 1, 2), NewItemset(append(base.Items(), RangeItem(3, 1, 2))...)},
+		{"replace last", RangeItem(5, 2, 3), NewItemset(CatItem(2, 1), RangeItem(5, 2, 3))},
+		{"replace first", CatItem(2, 0), NewItemset(CatItem(2, 0), RangeItem(5, 0, 10))},
+		{"empty receiver", CatItem(4, 1), NewItemset(CatItem(4, 1))},
+	}
+	for _, tc := range cases {
+		recv := base
+		if tc.name == "empty receiver" {
+			recv = NewItemset()
+		}
+		got := recv.With(tc.it)
+		if !got.Equal(tc.want) || got.Key() != tc.want.Key() {
+			t.Errorf("%s: With = %q, want %q", tc.name, got.Key(), tc.want.Key())
+		}
+	}
+	// Siblings appended to one parent must not share storage, even when
+	// the parent's backing array has spare capacity (Without leaves some).
+	parent := NewItemset(CatItem(1, 0), CatItem(2, 0)).Without(2)
+	a, b := parent.With(CatItem(3, 0)), parent.With(CatItem(3, 1))
+	if a.Key() != "1=0|3=0" || b.Key() != "1=0|3=1" || parent.Len() != 1 {
+		t.Errorf("sibling appends interfere: %q, %q, parent %q", a.Key(), b.Key(), parent.Key())
+	}
+}
+
 func TestItemsetSubsetGeneralizes(t *testing.T) {
 	ab := NewItemset(CatItem(1, 0), RangeItem(0, 20, 40))
 	a := NewItemset(CatItem(1, 0))
