@@ -208,29 +208,6 @@ func BenchmarkAblationMeasure(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSearch compares levelwise (the paper's choice) with
-// depth-first combination order.
-func BenchmarkAblationSearch(b *testing.B) {
-	d, attrs := ablationData()
-	for _, dfs := range []bool{false, true} {
-		name := "levelwise"
-		if dfs {
-			name = "depth-first"
-		}
-		b.Run(name, func(b *testing.B) {
-			var parts int
-			for i := 0; i < b.N; i++ {
-				res := core.Mine(d, core.Config{
-					Attrs: attrs, MaxDepth: 2, DFS: dfs,
-					SkipMeaningfulFilter: true,
-				})
-				parts = res.Stats.PartitionsEvaluated
-			}
-			b.ReportMetric(float64(parts), "partitions")
-		})
-	}
-}
-
 // BenchmarkAblationParallel measures the §6 per-level parallel strategy.
 func BenchmarkAblationParallel(b *testing.B) {
 	d := datagen.Manufacturing(datagen.ManufacturingConfig{

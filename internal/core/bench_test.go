@@ -10,24 +10,6 @@ import (
 	"sdadcs/internal/pattern"
 )
 
-func BenchmarkJointDiscretize1D(b *testing.B) {
-	d := datagen.Figure2(1, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		JointDiscretize(d, []int{0}, pattern.NewItemset(),
-			Config{Measure: pattern.SurprisingMeasure})
-	}
-}
-
-func BenchmarkJointDiscretize2D(b *testing.B) {
-	d := datagen.Simulated2(2, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		JointDiscretize(d, []int{0, 1}, pattern.NewItemset(),
-			Config{Measure: pattern.SurprisingMeasure})
-	}
-}
-
 func BenchmarkMineMixed(b *testing.B) {
 	d := datagen.Adult(datagen.AdultConfig{Seed: 1, Bachelors: 2000, Doctorate: 300})
 	attrs := []int{d.AttrIndex("age"), d.AttrIndex("hours_per_week"), d.AttrIndex("occupation")}

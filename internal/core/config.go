@@ -122,12 +122,6 @@ type Config struct {
 	RecordExploredSpaces bool
 	// Attrs restricts mining to these attribute indices; nil = all.
 	Attrs []int
-	// DFS explores attribute combinations depth-first instead of
-	// levelwise. The paper argues against it (§4.1): a depth-first order
-	// cannot exploit subset results discovered later and cannot size the
-	// Bonferroni adjustment per level. Provided for the search-order
-	// ablation.
-	DFS bool
 	// Workers > 1 mines each level's combinations in parallel (§6's
 	// scaling strategy). Results are merged deterministically.
 	Workers int
@@ -147,11 +141,6 @@ type Config struct {
 	// tracing with the same discipline as Metrics: one pointer check per
 	// site, zero allocations.
 	Trace *trace.Tracer
-	// PprofLabels annotates per-level worker goroutines with pprof labels
-	// (sdadcs_level, sdadcs_worker) so CPU profiles attribute samples to
-	// search levels. Off by default: labels cost a map allocation per
-	// goroutine spawn.
-	PprofLabels bool
 }
 
 func (c *Config) defaults() {

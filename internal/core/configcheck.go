@@ -82,7 +82,7 @@ func (c *Config) Validate() error {
 // same mining result by construction share a key. Fields that provably do
 // not change the result are excluded: Workers (per-level merge order is
 // deterministic for any worker count) and the observability sinks
-// (Metrics, Trace, PprofLabels).
+// (Metrics, Trace).
 //
 // This key — hashed by CanonicalHash — is what the serving layer's result
 // cache and singleflight deduplication are addressed by.
@@ -92,7 +92,7 @@ func (c Config) CanonicalKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "alpha=%.17g;delta=%.17g;depth=%d;recursion=%d;topk=%d;",
 		c.Alpha, c.Delta, c.MaxDepth, c.MaxRecursion, c.TopK)
-	fmt.Fprintf(&b, "measure=%s;oe=%s;dfs=%t;", c.Measure, c.OEMode, c.DFS)
+	fmt.Fprintf(&b, "measure=%s;oe=%s;", c.Measure, c.OEMode)
 	fmt.Fprintf(&b, "prune=%t,%t,%t,%t,%t,%t;",
 		p.MinDeviation, p.ExpectedCount, p.ChiSquareOE,
 		p.RedundancyCLT, p.PureSpace, p.LookupTable)

@@ -104,9 +104,9 @@ func TestCanonicalKeyDefaultsResolved(t *testing.T) {
 
 func TestCanonicalKeyIgnoresNonSemanticFields(t *testing.T) {
 	base := Config{}
-	variant := Config{Workers: 8, PprofLabels: true}
+	variant := Config{Workers: 8}
 	if base.CanonicalHash() != variant.CanonicalHash() {
-		t.Error("Workers/PprofLabels must not change the canonical hash")
+		t.Error("Workers must not change the canonical hash")
 	}
 }
 
@@ -121,7 +121,6 @@ func TestCanonicalKeySensitiveToSemanticFields(t *testing.T) {
 		{Measure: pattern.SurprisingMeasure},
 		{OEMode: OEModeConservative},
 		{SkipMeaningfulFilter: true},
-		{DFS: true},
 		{Attrs: []int{0, 1}},
 		base.NP(),
 	}

@@ -73,7 +73,7 @@ func TestMineMetricsNeutral(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		res := Mine(d, Config{
 			Attrs: attrs, MaxDepth: 2, Workers: workers,
-			Metrics: metrics.New(), PprofLabels: workers > 1,
+			Metrics: metrics.New(),
 		})
 		if !reflect.DeepEqual(contrastKeys(base.Contrasts), contrastKeys(res.Contrasts)) {
 			t.Errorf("workers=%d: instrumented contrasts differ from baseline", workers)
@@ -91,7 +91,7 @@ func TestMineMetricsParallelRace(t *testing.T) {
 		Seed: 5, Population: 800, Failed: 200, Features: 12,
 	})
 	rec := metrics.New()
-	res := Mine(d, Config{MaxDepth: 2, Workers: 8, Metrics: rec, PprofLabels: true})
+	res := Mine(d, Config{MaxDepth: 2, Workers: 8, Metrics: rec})
 	if res.Metrics == nil || res.Metrics.NodeEval.Count == 0 {
 		t.Fatal("parallel instrumented run recorded nothing")
 	}
@@ -112,25 +112,6 @@ func TestMineMetricsThresholdUpdates(t *testing.T) {
 	}
 	if res.Metrics.ThresholdUpdates == 0 {
 		t.Error("no threshold updates recorded with TopK=3")
-	}
-}
-
-// TestJointDiscretizeMetrics: the standalone discretizer threads the same
-// recorder.
-func TestJointDiscretizeMetrics(t *testing.T) {
-	d := datagen.Figure2(1, 1500)
-	rec := metrics.New()
-	boxes := JointDiscretize(d, []int{0}, pattern.NewItemset(),
-		Config{Measure: pattern.SurprisingMeasure, Metrics: rec})
-	if len(boxes) == 0 {
-		t.Fatal("no boxes")
-	}
-	s := rec.Snapshot()
-	if s.SDADCalls != 1 {
-		t.Errorf("SDADCalls = %d, want 1", s.SDADCalls)
-	}
-	if s.Splits == 0 || s.BoxesExplored == 0 {
-		t.Errorf("discretizer counters empty: %+v", s)
 	}
 }
 

@@ -75,24 +75,16 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 
 	frontier := m.levelOne(attrs)
 	var interrupted error
-	if cfg.DFS {
-		// Depth-first ablation: the per-level candidate count is unknown
-		// up front, so the Bonferroni adjustment can only use the level-1
-		// width — one of the paper's arguments for levelwise search.
-		alpha := schedule.LevelAlpha(len(frontier))
-		m.mineDFS(frontier, attrs, 1, alpha, chiSquareCrit(alpha, len(m.sizes)))
-	} else {
-		for level := 1; level <= cfg.MaxDepth && len(frontier) > 0; level++ {
-			if err := ctx.Err(); err != nil {
-				interrupted = err
-				break
-			}
-			survivors := m.processLevel(level, frontier, schedule)
-			if level == cfg.MaxDepth {
-				break
-			}
-			frontier = m.expand(survivors, attrs)
+	for level := 1; level <= cfg.MaxDepth && len(frontier) > 0; level++ {
+		if err := ctx.Err(); err != nil {
+			interrupted = err
+			break
 		}
+		survivors := m.processLevel(level, frontier, schedule)
+		if level == cfg.MaxDepth {
+			break
+		}
+		frontier = m.expand(survivors, attrs)
 	}
 
 	if interrupted == nil {
@@ -396,7 +388,9 @@ func (nd node) parent(cover *bitmap.Set) node {
 // forEachNode calls fn(worker, i) for every i in [0, n): inline with one
 // worker, otherwise on cfg.Workers goroutines that claim contiguous chunks
 // of indices from an atomic cursor. Cancellation is checked once per
-// chunk; an unclaimed index is left untouched.
+// chunk; an unclaimed index is left untouched. Each worker goroutine runs
+// under pprof labels (sdadcs_level, sdadcs_worker), so CPU profiles
+// attribute samples to search levels.
 func (m *miner) forEachNode(level, n int, fn func(worker, i int)) {
 	workers := max(m.cfg.Workers, 1)
 	chunk := max(1, n/(8*workers))
@@ -422,15 +416,11 @@ func (m *miner) forEachNode(level, n int, fn func(worker, i int)) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			if m.cfg.PprofLabels {
-				labels := pprof.Labels(
-					"sdadcs_level", strconv.Itoa(level),
-					"sdadcs_worker", strconv.Itoa(worker),
-				)
-				pprof.Do(context.Background(), labels, func(context.Context) { loop(worker) })
-			} else {
-				loop(worker)
-			}
+			labels := pprof.Labels(
+				"sdadcs_level", strconv.Itoa(level),
+				"sdadcs_worker", strconv.Itoa(worker),
+			)
+			pprof.Do(context.Background(), labels, func(context.Context) { loop(worker) })
 		}(w)
 	}
 	wg.Wait()
@@ -446,32 +436,6 @@ func (m *miner) evaluateTimed(level, worker int, nd node, alpha, crit, threshold
 	o := m.evaluate(level, worker, nd, alpha, crit, threshold)
 	m.rec.NodeEval(level, time.Since(start))
 	return o
-}
-
-// mineDFS explores nodes pre-order: each node is evaluated and its
-// children fully explored before its siblings. Lookup-table inserts and
-// top-k additions apply immediately. Absent children are skipped and
-// covers materialized by the same rules as the levelwise order.
-func (m *miner) mineDFS(nodes []node, attrs []int, level int, alpha, crit float64) {
-	for _, nd := range nodes {
-		if m.cancelled() {
-			return
-		}
-		if nd.absent(level) {
-			continue
-		}
-		o := m.evaluateTimed(level, 0, nd, alpha, crit, m.list.Threshold())
-		m.stats.add(o.stats)
-		for _, c := range o.contrasts {
-			m.list.Add(c)
-		}
-		for _, key := range o.inserts {
-			m.table[key] = struct{}{}
-		}
-		if o.survived && level < m.cfg.MaxDepth {
-			m.mineDFS(m.expand([]node{nd.parent(o.cover)}, attrs), attrs, level+1, alpha, crit)
-		}
-	}
 }
 
 // evaluate processes one node: a pure categorical itemset directly, a

@@ -285,33 +285,6 @@ func TestMineContextCancellation(t *testing.T) {
 	}
 }
 
-func TestMineDFSMode(t *testing.T) {
-	d := datagen.Adult(datagen.AdultConfig{Seed: 11, Bachelors: 1000, Doctorate: 200})
-	cfg := Config{MaxDepth: 2, Attrs: []int{
-		d.AttrIndex("age"), d.AttrIndex("hours_per_week"), d.AttrIndex("sex"),
-	}}
-	bfs := Mine(d, cfg)
-	cfg.DFS = true
-	dfs := Mine(d, cfg)
-	if len(dfs.Contrasts) == 0 {
-		t.Fatal("DFS mode found nothing")
-	}
-	for _, c := range dfs.Contrasts {
-		if c.Set.Len() > 2 {
-			t.Error("DFS exceeded depth bound")
-		}
-	}
-	// Both orders must find the same strongest pattern (the search order
-	// affects pruning, not what the best contrast is).
-	if len(bfs.Contrasts) > 0 && dfs.Contrasts[0].Score < bfs.Contrasts[0].Score-1e-9 {
-		t.Errorf("DFS top score %v below levelwise %v",
-			dfs.Contrasts[0].Score, bfs.Contrasts[0].Score)
-	}
-	if dfs.Stats.PartitionsEvaluated == 0 {
-		t.Error("DFS stats not wired")
-	}
-}
-
 func TestMineDepthOne(t *testing.T) {
 	d := datagen.Simulated4(8, 1500)
 	res := Mine(d, Config{MaxDepth: 1})

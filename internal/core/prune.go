@@ -252,8 +252,8 @@ func extremeGroups(sup pattern.Supports) (hi, lo int) {
 // is the rank range of a sorted (value, row) column, and the per-group
 // counts are one fused popcount of the ANDed covers. The sorted columns
 // are built lazily, per continuous attribute, and belong to the memo: they
-// live exactly as long as one Mine (or one Classify or JointDiscretize
-// call), so nothing outlives it in a long-running service or stream.
+// live exactly as long as one Mine (or one Classify call), so nothing
+// outlives it in a long-running service or stream.
 type supportMemo struct {
 	d     *dataset.Dataset
 	ix    *bitmap.Index

@@ -37,7 +37,6 @@ type Config struct {
 	// sdadcs-only knobs.
 	MaxRecursion         int         // SDAD-CS recursion bound (0 → 8)
 	OEMode               core.OEMode // optimistic-estimate variant
-	DFS                  bool        // depth-first ablation
 	NP                   bool        // the paper's no-pruning variant
 	SkipMeaningfulFilter bool
 
@@ -78,7 +77,6 @@ func (c Config) coreConfig() core.Config {
 		TopK:                 c.TopK,
 		Measure:              c.Measure,
 		OEMode:               c.OEMode,
-		DFS:                  c.DFS,
 		SkipMeaningfulFilter: c.SkipMeaningfulFilter,
 		Attrs:                c.Attrs,
 		Workers:              c.Workers,

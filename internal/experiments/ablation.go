@@ -21,8 +21,8 @@ type AblationRow struct {
 }
 
 // AblationResult quantifies the design choices DESIGN.md calls out: each
-// §4.3 pruning strategy, the optimistic-estimate mode, and the search
-// order, all on the same Adult-like workload.
+// §4.3 pruning strategy and the optimistic-estimate mode, all on the same
+// Adult-like workload.
 type AblationResult struct {
 	Rows  []AblationRow
 	Table Table
@@ -59,16 +59,11 @@ func Ablation(opts Options) AblationResult {
 			c.OEMode = core.OEModeConservative
 			return c
 		}},
-		{"depth-first order", func() core.Config {
-			c := base
-			c.DFS = true
-			return c
-		}},
 	}
 
 	var out AblationResult
 	t := Table{
-		Title:  "Ablation: pruning strategies, OE mode and search order (Adult-like workload)",
+		Title:  "Ablation: pruning strategies and OE mode (Adult-like workload)",
 		Header: []string{"variant", "partitions", "pruned", "contrasts", "time"},
 	}
 	for _, v := range variants {

@@ -215,8 +215,8 @@ func TestTable7Shape(t *testing.T) {
 
 func TestAblationShape(t *testing.T) {
 	res := Ablation(fastOpts())
-	if len(res.Rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(res.Rows))
+	if len(res.Rows) != 9 {
+		t.Fatalf("rows = %d, want 9", len(res.Rows))
 	}
 	byName := map[string]AblationRow{}
 	for _, r := range res.Rows {

@@ -292,8 +292,9 @@ func (r *Recorder) MergeOp() {
 	r.mergeOps.Add(1)
 }
 
-// BitmapBuilds counts bitmaps constructed while building a per-Mine value
-// index (one per categorical value and per group).
+// BitmapBuilds counts bitmaps constructed while building a dataset's
+// value index (one per categorical value and per group). The index is
+// built once per dataset and shared by every later Mine (bitmap.Shared).
 func (r *Recorder) BitmapBuilds(n int) {
 	if r == nil {
 		return
@@ -311,16 +312,8 @@ func (r *Recorder) BitmapIndexReuse() {
 	r.bitmapIndexReuses.Add(1)
 }
 
-// BitmapAnd counts one cover ∧ value-bitmap intersection.
-func (r *Recorder) BitmapAnd() {
-	if r == nil {
-		return
-	}
-	r.bitmapAndOps.Add(1)
-}
-
-// BitmapAnds counts n cover ∧ value-bitmap intersections at once (the
-// batched sibling kernel performs one fused AND per sibling code).
+// BitmapAnds counts n cover ∧ value-bitmap intersections: a frontier
+// node's fused count of base ∧ val, or a survivor's cover written out.
 func (r *Recorder) BitmapAnds(n int) {
 	if r == nil {
 		return

@@ -88,5 +88,10 @@ func parseKeyBound(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if mant == 0 && s[0] == '-' {
+		// keyBound writes negative zero as "-0p-1074"; ParseInt drops the
+		// sign of a zero mantissa.
+		return math.Copysign(0, -1), nil
+	}
 	return math.Ldexp(float64(mant), exp), nil
 }

@@ -17,7 +17,8 @@ func TestParseKeyRoundTrip(t *testing.T) {
 		NewItemset(RangeItem(1, math.Inf(-1), 26.5)),
 		NewItemset(RangeItem(3, 0.1, math.Inf(1))),
 		NewItemset(RangeItem(0, -1.5, 2.25), CatItem(4, 7)),
-		NewItemset(RangeItem(2, 1.0/3.0, math.Pi)), // non-dyadic bounds
+		NewItemset(RangeItem(2, 1.0/3.0, math.Pi)),        // non-dyadic bounds
+		NewItemset(RangeItem(1, math.Copysign(0, -1), 1)), // negative zero
 	}
 	for _, s := range sets {
 		key := s.Key()

@@ -48,7 +48,6 @@ type ConfigRequest struct {
 	// OEMode: paper | conservative (default paper).
 	OEMode  string `json:"oe_mode,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	DFS     bool   `json:"dfs,omitempty"`
 	// NP selects the no-pruning paper variant (core.Config.NP).
 	NP bool `json:"np,omitempty"`
 	// SkipMeaningfulFilter disables the final meaningfulness filter.
@@ -89,7 +88,6 @@ func (cr ConfigRequest) toConfig(d *dataset.Dataset) (engine.Config, error) {
 		MaxRecursion:         cr.MaxRecursion,
 		TopK:                 cr.TopK,
 		Workers:              cr.Workers,
-		DFS:                  cr.DFS,
 		NP:                   cr.NP,
 		SkipMeaningfulFilter: cr.SkipMeaningfulFilter,
 		BeamWidth:            cr.BeamWidth,
@@ -426,6 +424,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing key: %w", err))
 		return
 	}
+	if err := keyFits(key, set, j.Dataset()); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	tr := j.TraceSnapshot()
 	if tr == nil {
 		w.Header().Set("Retry-After", "1")
@@ -442,6 +444,28 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Subset:  len(x.Subset),
 		Text:    strings.TrimRight(x.Format(j.Dataset()), "\n"),
 	})
+}
+
+// keyFits checks a parsed explain key against the dataset it is rendered
+// with: every item's attribute exists, has the item's kind, and a
+// categorical item's code lies inside the attribute's domain. A failure is
+// a *core.FieldError naming key.
+func keyFits(key string, set pattern.Itemset, d *dataset.Dataset) error {
+	for _, it := range set.Items() {
+		var reason string
+		switch {
+		case it.Attr < 0 || it.Attr >= d.NumAttrs():
+			reason = fmt.Sprintf("attribute %d out of range; the dataset has %d", it.Attr, d.NumAttrs())
+		case it.Kind != d.Attr(it.Attr).Kind:
+			reason = fmt.Sprintf("attribute %d is %s, the key gives a %s item", it.Attr, d.Attr(it.Attr).Kind, it.Kind)
+		case it.Kind == dataset.Categorical && (it.Code < 0 || it.Code >= len(d.Domain(it.Attr))):
+			reason = fmt.Sprintf("code %d outside attribute %d's domain of %d values", it.Code, it.Attr, len(d.Domain(it.Attr)))
+		default:
+			continue
+		}
+		return &core.FieldError{Field: "key", Value: key, Reason: reason}
+	}
+	return nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -550,9 +551,9 @@ func TestBadConfigRejected(t *testing.T) {
 }
 
 // TestRetiredCountingFieldIgnored: the "counting" config field selected
-// a support-counting engine that no longer exists. Clients that still send
-// it, with any value, are accepted, and the field does not change the
-// config hash.
+// a support-counting engine that no longer exists, and "dfs" a depth-first
+// search order that no longer exists. Clients that still send either, with
+// any value, are accepted, and the field does not change the config hash.
 func TestRetiredCountingFieldIgnored(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 1})
 	dsID := c.register(smallCSV)
@@ -562,16 +563,63 @@ func TestRetiredCountingFieldIgnored(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
+	var retired []map[string]any
 	for _, counting := range []string{"auto", "bitmap", "slice", "gpu"} {
-		st, code, body := c.submit(map[string]any{
-			"dataset_id": dsID, "config": map[string]any{"top_k": 7, "counting": counting},
-		})
+		retired = append(retired, map[string]any{"counting": counting})
+	}
+	retired = append(retired, map[string]any{"dfs": true}, map[string]any{"dfs": false})
+	for _, field := range retired {
+		cfg := map[string]any{"top_k": 7}
+		for k, v := range field {
+			cfg[k] = v
+		}
+		st, code, body := c.submit(map[string]any{"dataset_id": dsID, "config": cfg})
 		if code != http.StatusAccepted {
-			t.Fatalf("counting %q: %d %s, want 202", counting, code, body)
+			t.Fatalf("%v: %d %s, want 202", field, code, body)
 		}
 		if st.ConfigHash != plain.ConfigHash {
-			t.Errorf("counting %q: config hash %s, want %s", counting, st.ConfigHash, plain.ConfigHash)
+			t.Errorf("%v: config hash %s, want %s", field, st.ConfigHash, plain.ConfigHash)
 		}
+	}
+}
+
+// TestExplainKeyOutsideDataset: a key that parses but names an attribute,
+// kind or code the job's dataset does not have answers 400 with a field
+// error naming key, not a recovered panic. smallCSV's attribute 0 is the
+// continuous x and attribute 1 the categorical tool (domain a, b).
+func TestExplainKeyOutsideDataset(t *testing.T) {
+	s, c := newTestServer(t, Options{Workers: 1})
+	dsID := c.register(smallCSV)
+	st, code, body := c.submit(map[string]any{"dataset_id": dsID, "config": map[string]any{}})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	if final := c.waitState(st.ID, JobDone, 10*time.Second); final.State != JobDone {
+		t.Fatalf("job state %s", final.State)
+	}
+	for _, key := range []string{
+		"99=0",      // attribute out of range
+		"0=999",     // categorical item on a continuous attribute
+		"-1=0",      // negative attribute
+		"0@0,1|0=1", // two items on one attribute, one of the wrong kind
+		"1@0,1",     // range item on a categorical attribute
+		"1=2",       // code outside the domain
+	} {
+		code, body := c.do("GET", "/v1/jobs/"+st.ID+"/explain?key="+url.QueryEscape(key), nil)
+		if code != http.StatusBadRequest {
+			t.Errorf("key %q: %d %s, want 400", key, code, body)
+			continue
+		}
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatal(err)
+		}
+		if len(eb.Fields) != 1 || eb.Fields[0] != "key" {
+			t.Errorf("key %q: fields %v, want [key]", key, eb.Fields)
+		}
+	}
+	if p := s.httpm.Panics(); p != 0 {
+		t.Errorf("%d handler panics recovered", p)
 	}
 }
 
