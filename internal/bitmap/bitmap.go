@@ -149,6 +149,13 @@ func (s *Set) ForEach(fn func(row int)) {
 }
 
 // Index holds one bitmap per categorical value and per group of a dataset.
+//
+// Invariant: the group masks partition the universe — every row 0..n-1 is
+// in exactly one group mask — and every bitmap's padding bits (positions n
+// and above in the last word) are zero. The two-group counting kernel
+// relies on both: a cover's group-1 count is its total minus its group-0
+// count. NewIndex and DeltaIndex.Materialize both build indexes that hold
+// it.
 type Index struct {
 	n int
 	// values[attr][code] is the rows where the categorical attribute has
@@ -220,7 +227,8 @@ func (ix *Index) GroupCountsInto(cover *Set, out []int) {
 // AndGroupCountsInto counts the lazy cover a ∩ b against every group mask
 // in the same single pass, without writing the intersection anywhere: the
 // per-group counts of a child candidate whose cover is its parent's cover
-// ANDed with one value bitmap. A nil b means a alone.
+// ANDed with one value bitmap. A nil b means a alone. a and b are sets
+// over the index's universe, with zero padding bits.
 func (ix *Index) AndGroupCountsInto(a, b *Set, out []int) {
 	for g := range out {
 		out[g] = 0
@@ -232,19 +240,18 @@ func (ix *Index) AndGroupCountsInto(a, b *Set, out []int) {
 	}
 	switch len(ix.groups) {
 	case 2:
-		// The paper's two-group case, hot enough to unroll: no inner loop,
-		// both masks stream alongside the cover.
-		g0, g1 := ix.groups[0].words[:len(aw)], ix.groups[1].words[:len(aw)]
-		c0, c1 := 0, 0
+		// The paper's two-group case, hot enough to unroll. The masks
+		// partition the universe and padding bits are zero (the Index
+		// invariant), so group 1's count is the cover's total minus group
+		// 0's: three word streams (a, b, group 0) and no branch per word.
+		g0 := ix.groups[0].words[:len(aw)]
+		t, c0 := 0, 0
 		for i, w := range aw {
 			w &= bw[i]
-			if w == 0 {
-				continue
-			}
+			t += bits.OnesCount64(w)
 			c0 += bits.OnesCount64(w & g0[i])
-			c1 += bits.OnesCount64(w & g1[i])
 		}
-		out[0], out[1] = c0, c1
+		out[0], out[1] = c0, t-c0
 	default:
 		for i, w := range aw {
 			w &= bw[i]

@@ -199,8 +199,11 @@ type nodeOutcome struct {
 	// trace event and no lookup-table insert.
 	absent    bool
 	contrasts []pattern.Contrast
-	inserts   []string
-	survived  bool
+	// record: insert the node's own itemset into the lookup table (a
+	// categorical node); inserts: the spaces an SDAD-CS run recorded.
+	record   bool
+	inserts  []pattern.Itemset
+	survived bool
 	// cover is the materialized cover of a survivor below MaxDepth (nil
 	// when that cover is every row).
 	cover *bitmap.Set
@@ -359,8 +362,11 @@ func (m *miner) processLevel(level int, frontier []node, schedule *stats.Bonferr
 		for _, c := range o.contrasts {
 			m.list.Add(c)
 		}
-		for _, key := range o.inserts {
-			m.table[key] = struct{}{}
+		if o.record {
+			m.table.insert(frontier[i].catSet)
+		}
+		for _, set := range o.inserts {
+			m.table.insert(set)
 		}
 		if o.survived {
 			surviving++
@@ -520,11 +526,11 @@ func (m *miner) groupCounts(nd node) []int {
 func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit float64) nodeOutcome {
 	var o nodeOutcome
 	if m.prune.LookupTable {
-		if subKey, hit := m.table.prunedSubset(nd.catSet); hit {
+		if mask, hit := m.table.prunedSubset(nd.catSet); hit {
 			m.rec.PruneHit(metrics.PruneLookupTable)
 			if m.tr.Enabled() {
 				m.tr.Prune(level, worker, nd.catSet.Key(),
-					metrics.PruneLookupTable.String()+":"+subKey, 0, 0)
+					metrics.PruneLookupTable.String()+":"+subsetKey(nd.catSet, mask), 0, 0)
 			}
 			o.stats.SpacesPruned++
 			return o
@@ -538,9 +544,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit floa
 	}
 	dec := evaluatePruning(m.prune, nd.catSet, sup, m.cfg.Delta, alpha, crit,
 		m.d.Rows(), m.memo.supports, m.rec, m.tr, level, worker)
-	if dec.record && m.prune.LookupTable {
-		o.inserts = append(o.inserts, nd.catSet.Key())
-	}
+	o.record = dec.record && m.prune.LookupTable
 	if dec.skipContrast && dec.skipChildren {
 		o.stats.SpacesPruned++
 		return o

@@ -15,52 +15,64 @@ import (
 	"sdadcs/internal/trace"
 )
 
-// pruneTable is the lookup table of §4.1: canonical keys of itemsets found
-// prunable. A space is cut when any subset of its items is present.
+// pruneTable is the lookup table of §4.1: compact keys
+// (pattern.Itemset.CompactKey) of itemsets found prunable. A space is cut
+// when any subset of its items is present.
 type pruneTable map[string]struct{}
 
-// prunedSubset returns the key of a recorded non-empty subset of the
-// itemset's items (including the itemset itself), if any — the provenance
-// answer to "which earlier prune killed this space". Itemsets are at most
-// MaxDepth items, so the 2^n subset enumeration is tiny. Items are already
-// in attribute order, so a subset's canonical key is its items' keys
-// joined in mask order: each item key is formatted once per call.
-func (t pruneTable) prunedSubset(set pattern.Itemset) (string, bool) {
-	if len(t) == 0 {
-		return "", false
-	}
-	n := set.Len()
-	if n == 0 {
-		return "", false
-	}
-	keys := make([]string, n)
-	size := n
-	for i := range keys {
-		keys[i] = set.Item(i).Key()
-		size += len(keys[i])
-	}
-	buf := make([]byte, 0, size)
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		buf = buf[:0]
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				if len(buf) > 0 {
-					buf = append(buf, '|')
-				}
-				buf = append(buf, keys[i]...)
-			}
-		}
-		if _, ok := t[string(buf)]; ok {
-			return string(buf), true
-		}
-	}
-	return "", false
+// insert records set in the table under its compact key.
+func (t pruneTable) insert(set pattern.Itemset) {
+	var stack [128]byte
+	t[string(set.AppendCompactKey(stack[:0]))] = struct{}{}
 }
 
-// hasPrunedSubset reports whether any recorded subset cuts the itemset.
-func (t pruneTable) hasPrunedSubset(set pattern.Itemset) bool {
-	_, ok := t.prunedSubset(set)
-	return ok
+// prunedSubset reports whether a recorded non-empty subset of the
+// itemset's items (including the itemset itself) cuts it. mask names the
+// first such subset in mask order — bit i set for item i — the provenance
+// answer to "which earlier prune killed this space" (subsetKey formats
+// it). Itemsets are at most MaxDepth items, so the 2^n subset enumeration
+// is tiny. Items are already in attribute order, so a subset's compact key
+// is its items' encodings concatenated in mask order: each item is encoded
+// once per call, into stack buffers, and no probe allocates.
+func (t pruneTable) prunedSubset(set pattern.Itemset) (mask int, ok bool) {
+	n := set.Len()
+	if len(t) == 0 || n == 0 {
+		return 0, false
+	}
+	var encStack, bufStack [256]byte
+	var endStack [16]int
+	enc, ends := encStack[:0], endStack[:0]
+	for i := 0; i < n; i++ {
+		enc = set.Item(i).AppendCompactKey(enc)
+		ends = append(ends, len(enc))
+	}
+	buf := bufStack[:0]
+	for mask := 1; mask < 1<<uint(n); mask++ {
+		buf = buf[:0]
+		start := 0
+		for i, end := range ends {
+			if mask&(1<<uint(i)) != 0 {
+				buf = append(buf, enc[start:end]...)
+			}
+			start = end
+		}
+		if _, ok := t[string(buf)]; ok {
+			return mask, true
+		}
+	}
+	return 0, false
+}
+
+// subsetKey returns the Key of the items of set that mask selects — the
+// subset a traced lookup-table prune names.
+func subsetKey(set pattern.Itemset, mask int) string {
+	items := make([]pattern.Item, 0, set.Len())
+	for i := 0; i < set.Len(); i++ {
+		if mask&(1<<uint(i)) != 0 {
+			items = append(items, set.Item(i))
+		}
+	}
+	return pattern.NewItemset(items...).Key()
 }
 
 // pruneDecision is the outcome of the §4.3 rules for one space.
@@ -122,7 +134,7 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 			rec.PruneHit(metrics.PruneRedundancyCLT)
 			if tr.Enabled() {
 				tr.Prune(level, worker, set.Key(),
-					metrics.PruneRedundancyCLT.String()+":"+det.subsetKey,
+					metrics.PruneRedundancyCLT.String()+":"+det.subset.Key(),
 					det.diff, det.half)
 			}
 			return pruneDecision{skipContrast: true, skipChildren: true, record: true}
@@ -190,9 +202,9 @@ func minExpected(sup pattern.Supports, totalRows int) float64 {
 // cltDetail reports which subset triggered the CLT redundancy rule and
 // at which statistics — the payload of the traced prune decision.
 type cltDetail struct {
-	subsetKey string
-	diff      float64 // the current itemset's support difference
-	half      float64 // the half-width α·sqrt(a+b) of the subset's bound
+	subset pattern.Itemset
+	diff   float64 // the current itemset's support difference
+	half   float64 // the half-width α·sqrt(a+b) of the subset's bound
 }
 
 // redundantByCLT implements the Eq. 14–16 check: for each subset obtained
@@ -224,7 +236,7 @@ func redundantByCLT(set pattern.Itemset, sup pattern.Supports, alpha float64,
 		b := sub.Supp(y) * (1 - sub.Supp(y)) / float64(sub.Size[y])
 		half := alpha * math.Sqrt(a+b)
 		if diffCurr >= diffSub-half && diffCurr <= diffSub+half {
-			return cltDetail{subsetKey: subset.Key(), diff: diffCurr, half: half}, true
+			return cltDetail{subset: subset, diff: diffCurr, half: half}, true
 		}
 	}
 	return cltDetail{}, false
@@ -259,8 +271,8 @@ type supportMemo struct {
 	ix    *bitmap.Index
 	sizes []int
 	mu    sync.Mutex
-	// cache maps itemset keys to their supports; values are deterministic
-	// functions of the key, so racing writers are harmless.
+	// cache maps itemsets' compact keys to their supports; values are
+	// deterministic functions of the key, so racing writers are harmless.
 	cache map[string]pattern.Supports
 	// cols[attr] is continuous attribute attr's sorted column, built on
 	// first use.
@@ -285,17 +297,21 @@ func newSupportMemo(d *dataset.Dataset, ix *bitmap.Index) *supportMemo {
 	}
 }
 
+// supports returns the itemset's supports over the full dataset. A probe
+// builds the compact key in a stack buffer and does not allocate; only an
+// insert copies the key.
 func (m *supportMemo) supports(set pattern.Itemset) pattern.Supports {
-	key := set.Key()
+	var stack [128]byte
+	key := set.AppendCompactKey(stack[:0])
 	m.mu.Lock()
-	s, ok := m.cache[key]
+	s, ok := m.cache[string(key)]
 	m.mu.Unlock()
 	if ok {
 		return s
 	}
 	s = pattern.CountsToSupports(m.count(set), m.sizes)
 	m.mu.Lock()
-	m.cache[key] = s
+	m.cache[string(key)] = s
 	m.mu.Unlock()
 	return s
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"sdadcs/internal/bitmap"
@@ -13,26 +15,32 @@ func TestPruneTableSubsetLookup(t *testing.T) {
 	a := pattern.CatItem(0, 1)
 	b := pattern.RangeItem(2, 0, 5)
 	c := pattern.CatItem(4, 0)
-	table[pattern.NewItemset(a).Key()] = struct{}{}
+	table.insert(pattern.NewItemset(a))
+	pruned := func(s pattern.Itemset) bool {
+		_, ok := table.prunedSubset(s)
+		return ok
+	}
 
-	if !table.hasPrunedSubset(pattern.NewItemset(a, b)) {
+	if !pruned(pattern.NewItemset(a, b)) {
 		t.Error("superset of a pruned itemset must be pruned")
 	}
-	if !table.hasPrunedSubset(pattern.NewItemset(a, b, c)) {
+	if mask, ok := table.prunedSubset(pattern.NewItemset(a, b, c)); !ok {
 		t.Error("3-item superset must be pruned")
+	} else if got, want := subsetKey(pattern.NewItemset(a, b, c), mask), pattern.NewItemset(a).Key(); got != want {
+		t.Errorf("provenance subset = %q, want %q", got, want)
 	}
-	if table.hasPrunedSubset(pattern.NewItemset(b, c)) {
+	if pruned(pattern.NewItemset(b, c)) {
 		t.Error("unrelated itemset must not be pruned")
 	}
 	// Range keys are exact: a different range on the same attribute is a
 	// different item.
-	if table.hasPrunedSubset(pattern.NewItemset(pattern.CatItem(0, 2), b)) {
+	if pruned(pattern.NewItemset(pattern.CatItem(0, 2), b)) {
 		t.Error("different value on same attribute must not match")
 	}
-	if table.hasPrunedSubset(pattern.NewItemset()) {
+	if pruned(pattern.NewItemset()) {
 		t.Error("empty itemset must not be pruned")
 	}
-	if (pruneTable{}).hasPrunedSubset(pattern.NewItemset(a)) {
+	if _, ok := (pruneTable{}).prunedSubset(pattern.NewItemset(a)); ok {
 		t.Error("empty table must not prune")
 	}
 }
@@ -106,7 +114,7 @@ func TestRedundantByCLTDetectsSubsumption(t *testing.T) {
 	if !redundant {
 		t.Error("functionally dependent itemset should be CLT-redundant")
 	}
-	if det.subsetKey == "" {
+	if det.subset.Len() == 0 {
 		t.Error("redundancy detail must name the subsuming subset")
 	}
 }
@@ -164,5 +172,66 @@ func TestSupportMemoCaches(t *testing.T) {
 	}
 	if len(memo.cache) != 1 {
 		t.Errorf("cache size = %d, want 1", len(memo.cache))
+	}
+}
+
+// TestPruneTableMatchesKeyTable checks the compact-key lookup table
+// against a naive table of Key strings on random tables and itemsets: the
+// same spaces are cut, by the same first subset in mask order.
+func TestPruneTableMatchesKeyTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bounds := []float64{math.Inf(-1), math.Copysign(0, -1), 0, 0.5, 1, math.Inf(1)}
+	randomItem := func(attr int) pattern.Item {
+		if attr%2 == 0 {
+			return pattern.CatItem(attr, rng.Intn(3))
+		}
+		i := rng.Intn(len(bounds) - 1)
+		return pattern.RangeItem(attr, bounds[i], bounds[i+1+rng.Intn(len(bounds)-1-i)])
+	}
+	attrs := []int{0, 1, 2, 3, 128, 129}
+	randomSet := func(maxLen int) pattern.Itemset {
+		var items []pattern.Item
+		for _, i := range rng.Perm(len(attrs))[:rng.Intn(maxLen+1)] {
+			items = append(items, randomItem(attrs[i]))
+		}
+		return pattern.NewItemset(items...)
+	}
+	hits := 0
+	for trial := 0; trial < 200; trial++ {
+		table, naive := make(pruneTable), map[string]bool{}
+		for k := rng.Intn(12); k > 0; k-- {
+			s := randomSet(3)
+			if s.Len() > 0 {
+				table.insert(s)
+				naive[s.Key()] = true
+			}
+		}
+		for q := 0; q < 50; q++ {
+			set := randomSet(len(attrs))
+			wantKey, want := "", false
+			for mask := 1; mask < 1<<uint(set.Len()) && !want; mask++ {
+				var sub []pattern.Item
+				for i := 0; i < set.Len(); i++ {
+					if mask&(1<<uint(i)) != 0 {
+						sub = append(sub, set.Item(i))
+					}
+				}
+				wantKey = pattern.NewItemset(sub...).Key()
+				want = naive[wantKey]
+			}
+			mask, got := table.prunedSubset(set)
+			if got != want {
+				t.Fatalf("trial %d: %q: compact table hit %v, Key table hit %v", trial, set.Key(), got, want)
+			}
+			if got {
+				hits++
+				if key := subsetKey(set, mask); key != wantKey {
+					t.Fatalf("trial %d: %q: cut by %q, Key table cuts by %q", trial, set.Key(), key, wantKey)
+				}
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no lookup hit drawn: the property was not exercised")
 	}
 }

@@ -33,8 +33,8 @@ type sdadRun struct {
 	scratch   *sdadScratch
 	table     pruneTable // read-only during the run
 	stats     Stats
-	inserts   []string // lookup-table keys produced by this run
-	alive     bool     // at least one space survived pruning
+	inserts   []pattern.Itemset // spaces this run records in the lookup table
+	alive     bool              // at least one space survived pruning
 	sizes     []int
 	totalRows int
 	// rec is the optional instrumentation sink (nil = disabled); shared
@@ -259,11 +259,11 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 
 	// Lookup-table check (Line 7).
 	if r.prune.LookupTable {
-		if subKey, hit := r.table.prunedSubset(childBox); hit {
+		if mask, hit := r.table.prunedSubset(childBox); hit {
 			r.rec.PruneHit(metrics.PruneLookupTable)
 			if r.tr.Enabled() {
 				r.tr.Prune(level, r.worker, childBox.Key(),
-					metrics.PruneLookupTable.String()+":"+subKey, 0, 0)
+					metrics.PruneLookupTable.String()+":"+subsetKey(childBox, mask), 0, 0)
 			}
 			r.stats.SpacesPruned++
 			return
@@ -284,7 +284,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha, r.crit,
 		r.totalRows, r.memo.supports, r.rec, r.tr, level, r.worker)
 	if dec.record && r.prune.LookupTable {
-		r.inserts = append(r.inserts, childBox.Key())
+		r.inserts = append(r.inserts, childBox)
 	}
 	if dec.skipContrast && dec.skipChildren {
 		r.stats.SpacesPruned++
@@ -385,17 +385,21 @@ func currentRange(box pattern.Itemset, attr int) pattern.Interval {
 // re-sort-and-recompute-all-pairs restart, which made merge-heavy windows
 // O(n³) chi-square evaluations; the visit order — and therefore the result
 // — is unchanged.
+//
+// Each space's keys are computed once, when it enters the list: the
+// compact key for the dedup and the failed-pair memo, the volume and the
+// Key string for the visit order.
 func (r *sdadRun) merge(d []pattern.Contrast) []pattern.Contrast {
 	if len(d) < 2 {
 		return d
 	}
 	// Deduplicate by key (Dtemp flushing can duplicate across levels).
-	seen := map[string]bool{}
-	spaces := d[:0:0]
+	seen := make(map[string]bool, len(d))
+	spaces := make([]mergeSpace, 0, len(d))
 	for _, c := range d {
-		if !seen[c.Set.Key()] {
-			seen[c.Set.Key()] = true
-			spaces = append(spaces, c)
+		if s := newMergeSpace(c); !seen[s.key] {
+			seen[s.key] = true
+			spaces = append(spaces, s)
 		}
 	}
 	sortByVolume(spaces)
@@ -407,18 +411,18 @@ func (r *sdadRun) merge(d []pattern.Contrast) []pattern.Contrast {
 			// A merge-heavy window can spend quadratic work per round; a
 			// cancelled job returns the spaces merged so far instead of
 			// finishing the rescan.
-			return spaces
+			return contrastsOf(spaces)
 		}
 		merged := false
 	outer:
 		for i := 0; i < len(spaces); i++ {
 			for j := i + 1; j < len(spaces); j++ {
-				key := pairKey{spaces[i].Set.Key(), spaces[j].Set.Key()}
+				key := pairKey{spaces[i].key, spaces[j].key}
 				if _, done := failed[key]; done {
 					continue
 				}
 				r.rec.MergeAttempt()
-				u, ok := r.tryMerge(spaces[i], spaces[j])
+				u, ok := r.tryMerge(spaces[i].Contrast, spaces[j].Contrast)
 				if !ok {
 					failed[key] = struct{}{}
 					continue
@@ -429,25 +433,48 @@ func (r *sdadRun) merge(d []pattern.Contrast) []pattern.Contrast {
 				// existing volume order (j > i, so remove j first).
 				spaces = append(spaces[:j], spaces[j+1:]...)
 				spaces = append(spaces[:i], spaces[i+1:]...)
-				spaces = insertByVolume(spaces, u)
+				spaces = insertByVolume(spaces, newMergeSpace(u))
 				merged = true
 				break outer
 			}
 		}
 		if !merged {
-			return spaces
+			return contrastsOf(spaces)
 		}
 	}
 }
 
-// insertByVolume inserts c into a volume-sorted slice at its ordered
+// mergeSpace is one space of the bottom-up merge with the keys every
+// rescan reads: key (the compact key) identifies it in the dedup and the
+// failed-pair memo, vol and name (its Key) place it in the visit order.
+type mergeSpace struct {
+	pattern.Contrast
+	key  string
+	name string
+	vol  float64
+}
+
+func newMergeSpace(c pattern.Contrast) mergeSpace {
+	return mergeSpace{Contrast: c, key: c.Set.CompactKey(), name: c.Set.Key(), vol: c.Set.Volume()}
+}
+
+// contrastsOf returns the merge's spaces as contrasts, in list order.
+func contrastsOf(spaces []mergeSpace) []pattern.Contrast {
+	out := make([]pattern.Contrast, len(spaces))
+	for i, s := range spaces {
+		out[i] = s.Contrast
+	}
+	return out
+}
+
+// insertByVolume inserts s into a volume-sorted slice at its ordered
 // position (the same total order sortByVolume establishes).
-func insertByVolume(cs []pattern.Contrast, c pattern.Contrast) []pattern.Contrast {
-	pos := sort.Search(len(cs), func(i int) bool { return volumeLess(c, cs[i]) })
-	cs = append(cs, pattern.Contrast{})
-	copy(cs[pos+1:], cs[pos:])
-	cs[pos] = c
-	return cs
+func insertByVolume(spaces []mergeSpace, s mergeSpace) []mergeSpace {
+	pos := sort.Search(len(spaces), func(i int) bool { return volumeLess(s, spaces[i]) })
+	spaces = append(spaces, mergeSpace{})
+	copy(spaces[pos+1:], spaces[pos:])
+	spaces[pos] = s
+	return spaces
 }
 
 // tryMerge combines two contrast spaces when they are contiguous on
@@ -540,24 +567,23 @@ func contiguousOn(a, b pattern.Itemset) (attr int, union pattern.Interval, ok bo
 	return attr, union, true
 }
 
-// sortByVolume orders contrasts by ascending hyper-volume (unbounded
-// ranges last), breaking ties by key for determinism.
-func sortByVolume(cs []pattern.Contrast) {
-	sort.Slice(cs, func(i, j int) bool { return volumeLess(cs[i], cs[j]) })
+// sortByVolume orders spaces by ascending hyper-volume (unbounded ranges
+// last), breaking ties by key for determinism.
+func sortByVolume(spaces []mergeSpace) {
+	sort.Slice(spaces, func(i, j int) bool { return volumeLess(spaces[i], spaces[j]) })
 }
 
 // volumeLess is the total order sortByVolume and insertByVolume share:
-// ascending hyper-volume, unbounded ranges last, ties broken by key.
-func volumeLess(a, b pattern.Contrast) bool {
-	va, vb := a.Set.Volume(), b.Set.Volume()
-	if va != vb {
-		if math.IsInf(va, 1) {
+// ascending hyper-volume, unbounded ranges last, ties broken by Key.
+func volumeLess(a, b mergeSpace) bool {
+	if a.vol != b.vol {
+		if math.IsInf(a.vol, 1) {
 			return false
 		}
-		if math.IsInf(vb, 1) {
+		if math.IsInf(b.vol, 1) {
 			return true
 		}
-		return va < vb
+		return a.vol < b.vol
 	}
-	return a.Set.Key() < b.Set.Key()
+	return a.name < b.name
 }

@@ -49,16 +49,19 @@ func TestSortByVolume(t *testing.T) {
 	mk := func(lo, hi float64) pattern.Contrast {
 		return pattern.Contrast{Set: pattern.NewItemset(pattern.RangeItem(0, lo, hi))}
 	}
-	cs := []pattern.Contrast{
+	var spaces []mergeSpace
+	for _, c := range []pattern.Contrast{
 		mk(0, 10),
 		mk(0, 1),
 		{Set: pattern.NewItemset(pattern.RangeItem(0, math.Inf(-1), 5))},
 		mk(0, 3),
+	} {
+		spaces = append(spaces, newMergeSpace(c))
 	}
-	sortByVolume(cs)
-	vols := make([]float64, len(cs))
-	for i, c := range cs {
-		vols[i] = c.Set.Volume()
+	sortByVolume(spaces)
+	vols := make([]float64, len(spaces))
+	for i, s := range spaces {
+		vols[i] = s.Set.Volume()
 	}
 	if vols[0] != 1 || vols[1] != 3 || vols[2] != 10 || !math.IsInf(vols[3], 1) {
 		t.Errorf("volumes after sort = %v", vols)

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -94,4 +95,59 @@ func parseKeyBound(s string) (float64, error) {
 		return math.Copysign(0, -1), nil
 	}
 	return math.Ldexp(float64(mant), exp), nil
+}
+
+// Compact keys are the binary twin of Key for the miner's hash-map
+// lookups (the §4.1 lookup table, the support memo, the merge dedup):
+// appended into a caller's buffer, with no float formatting. Two itemsets
+// have equal compact keys exactly when their Key strings are equal.
+const (
+	compactCat   byte = 'c'
+	compactRange byte = 'r'
+)
+
+// AppendCompactKey appends the item's compact key to buf and returns the
+// extended slice: a tag byte, uvarint(attr) and uvarint(code) for a
+// categorical item; a tag byte, uvarint(attr) and the 8-byte Float64bits
+// of Lo and then Hi for a range item. The tag fixes the layout and a
+// uvarint ends itself, so no item's encoding is a prefix of another's.
+// Signed zeros stay apart, as in Key; every NaN bound encodes alike,
+// because Key writes every NaN as "NaN".
+func (it Item) AppendCompactKey(buf []byte) []byte {
+	if it.Kind == dataset.Categorical {
+		buf = append(buf, compactCat)
+		buf = binary.AppendUvarint(buf, uint64(it.Attr))
+		return binary.AppendUvarint(buf, uint64(it.Code))
+	}
+	buf = append(buf, compactRange)
+	buf = binary.AppendUvarint(buf, uint64(it.Attr))
+	buf = binary.LittleEndian.AppendUint64(buf, compactBound(it.Range.Lo))
+	return binary.LittleEndian.AppendUint64(buf, compactBound(it.Range.Hi))
+}
+
+// compactBound is a range bound's bit pattern, with every NaN folded onto
+// one.
+func compactBound(x float64) uint64 {
+	if x != x {
+		return canonicalNaN
+	}
+	return math.Float64bits(x)
+}
+
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// AppendCompactKey appends the itemset's compact key to buf: its items'
+// encodings concatenated in attribute order.
+func (s Itemset) AppendCompactKey(buf []byte) []byte {
+	for _, x := range s.items {
+		buf = x.AppendCompactKey(buf)
+	}
+	return buf
+}
+
+// CompactKey returns the itemset's compact key as a string, for use as a
+// map key.
+func (s Itemset) CompactKey() string {
+	var stack [64]byte
+	return string(s.AppendCompactKey(stack[:0]))
 }

@@ -56,21 +56,40 @@ func (f *wireFloat) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// optFloat is a payload as the wire carries it: absent when +0, present
+// otherwise — so a -0 (a split at a negative-zero median) keeps its sign,
+// which a plain omitempty float would drop.
+func optFloat(v float64) *wireFloat {
+	if math.Float64bits(v) == 0 {
+		return nil
+	}
+	f := wireFloat(v)
+	return &f
+}
+
+// value inverts optFloat: an absent payload is +0.
+func (f *wireFloat) value() float64 {
+	if f == nil {
+		return 0
+	}
+	return float64(*f)
+}
+
 // wireEvent is the JSONL schema: field order here is the field order on
 // the wire (encoding/json emits struct fields in declaration order, so
 // equal events marshal to identical bytes).
 type wireEvent struct {
-	Seq    uint64    `json:"seq"`
-	TS     int64     `json:"ts_ns"`
-	Kind   string    `json:"kind"`
-	Level  int32     `json:"level,omitempty"`
-	Worker int32     `json:"worker,omitempty"`
-	Key    string    `json:"key,omitempty"`
-	Arg    string    `json:"arg,omitempty"`
-	V1     wireFloat `json:"v1,omitempty"`
-	V2     wireFloat `json:"v2,omitempty"`
-	V3     wireFloat `json:"v3,omitempty"`
-	Counts []int32   `json:"counts,omitempty"`
+	Seq    uint64     `json:"seq"`
+	TS     int64      `json:"ts_ns"`
+	Kind   string     `json:"kind"`
+	Level  int32      `json:"level,omitempty"`
+	Worker int32      `json:"worker,omitempty"`
+	Key    string     `json:"key,omitempty"`
+	Arg    string     `json:"arg,omitempty"`
+	V1     *wireFloat `json:"v1,omitempty"`
+	V2     *wireFloat `json:"v2,omitempty"`
+	V3     *wireFloat `json:"v3,omitempty"`
+	Counts []int32    `json:"counts,omitempty"`
 }
 
 func toWire(e *Event) wireEvent {
@@ -82,9 +101,9 @@ func toWire(e *Event) wireEvent {
 		Worker: e.Worker,
 		Key:    e.Key,
 		Arg:    e.Arg,
-		V1:     wireFloat(e.V1),
-		V2:     wireFloat(e.V2),
-		V3:     wireFloat(e.V3),
+		V1:     optFloat(e.V1),
+		V2:     optFloat(e.V2),
+		V3:     optFloat(e.V3),
 	}
 	if e.NG > 0 {
 		w.Counts = make([]int32, e.NG)
@@ -106,9 +125,9 @@ func fromWire(w *wireEvent) (Event, error) {
 		Worker: w.Worker,
 		Key:    w.Key,
 		Arg:    w.Arg,
-		V1:     float64(w.V1),
-		V2:     float64(w.V2),
-		V3:     float64(w.V3),
+		V1:     w.V1.value(),
+		V2:     w.V2.value(),
+		V3:     w.V3.value(),
 	}
 	if len(w.Counts) > MaxGroups {
 		return Event{}, fmt.Errorf("trace: event %d carries %d group counts (max %d)",
