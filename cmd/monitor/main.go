@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -43,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		every     = fs.Int("every", 0, "re-mine cadence in rows (0 = window/4)")
 		minScore  = fs.Float64("minscore", 0.2, "alerting floor for appear/disappear events")
 		depth     = fs.Int("depth", 2, "maximum attributes per pattern")
-		metricsA  = fs.String("metrics", "", "serve live pipeline metrics on this address (e.g. :8080; GET /metrics, ?format=prometheus or /metrics/prometheus for text exposition)")
+		metricsA  = fs.String("metrics", "", "serve live pipeline metrics on this address (e.g. :8080; GET /metrics for the JSON snapshot, GET /metrics/prometheus for text exposition)")
 		traceF    = fs.String("trace", "", "append one decision-trace segment per mined window to FILE as JSON Lines")
 		logLevel  = fs.String("log-level", "info", "structured log level: debug, info, warn, error")
 		logFormat = fs.String("log-format", "text", "structured log format: text or json")
@@ -119,9 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Live metrics endpoint: the recorder is shared with the miner, so a
 	// GET /metrics during the replay sees counters moving in real time.
 	// The server carries full read/write/idle timeouts — a stalled or idle
-	// client cannot pin a connection (and its goroutine) forever. Every
-	// route sits behind the RED middleware: access logs with request IDs,
-	// latency/error accounting, panic recovery.
+	// client cannot pin a connection (and its goroutine) forever.
 	var mrec *sdadcs.MetricsRecorder
 	if *metricsA != "" {
 		mrec = sdadcs.NewMetricsRecorder()
@@ -130,35 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "monitor: metrics listener:", lerr)
 			return 1
 		}
-		httpm := obs.NewHTTPMetrics()
-		mw := &obs.Middleware{Log: log.With("component", "monitor.http"), Metrics: httpm}
-		jsonHandler := func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_ = sdadcs.WriteMetrics(w, mrec)
-		}
-		promHandler := func(w http.ResponseWriter, _ *http.Request) {
-			fams := obs.MinerFamilies("sdadcs_miner_", mrec.Snapshot())
-			fams = append(fams, obs.REDFamilies("sdadcs_http_", httpm)...)
-			fams = append(fams, obs.RuntimeFamilies()...)
-			w.Header().Set("Content-Type", obs.ContentType)
-			if werr := obs.WriteExposition(w, fams); werr != nil {
-				log.Error("prometheus exposition failed", "component", "monitor.http", "error", werr)
-			}
-		}
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", mw.Wrap("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			switch r.URL.Query().Get("format") {
-			case "", "json":
-				jsonHandler(w, r)
-			case "prometheus", "prom":
-				promHandler(w, r)
-			default:
-				http.Error(w, fmt.Sprintf("unknown metrics format %q; json or prometheus", r.URL.Query().Get("format")), http.StatusBadRequest)
-			}
-		})))
-		mux.Handle("GET /metrics/prometheus", mw.Wrap("GET /metrics/prometheus", http.HandlerFunc(promHandler)))
 		srv := &http.Server{
-			Handler:           mux,
+			Handler:           metricsHandler(mrec, log),
 			ReadHeaderTimeout: 5 * time.Second,
 			ReadTimeout:       10 * time.Second,
 			WriteTimeout:      10 * time.Second,
@@ -283,4 +255,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			time.Duration(snap.Remine.MaxNanos))
 	}
 	return 0
+}
+
+// metricsHandler mounts the live metrics routes over rec: GET /metrics
+// serves the JSON snapshot and GET /metrics/prometheus the text
+// exposition (miner, RED and Go runtime families). Every route sits
+// behind the RED middleware: access logs with request IDs, latency and
+// error accounting, panic recovery.
+func metricsHandler(rec *sdadcs.MetricsRecorder, log *slog.Logger) http.Handler {
+	log = log.With("component", "monitor.http")
+	httpm := obs.NewHTTPMetrics()
+	mw := &obs.Middleware{Log: log, Metrics: httpm}
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", mw.Wrap("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		_ = sdadcs.WriteMetrics(w, rec)
+	})))
+	mux.Handle("GET /metrics/prometheus", mw.Wrap("GET /metrics/prometheus", obs.PrometheusHandler(log, func() []obs.Family {
+		fams := obs.MinerFamilies("sdadcs_miner_", obs.MinerSeries{Snapshot: rec.Snapshot()})
+		fams = append(fams, obs.REDFamilies("sdadcs_http_", httpm)...)
+		return append(fams, obs.RuntimeFamilies()...)
+	})))
+	return mux
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"time"
 
 	"sdadcs"
+	"sdadcs/internal/metrics"
 	"sdadcs/internal/obs"
 
 	"bytes"
@@ -203,83 +205,98 @@ func TestRunMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunMetricsPrometheus: the text exposition endpoint serves a page
-// that passes the strict parser and carries the miner, RED and runtime
-// families; access lines land on stderr as JSON when -log-format json.
+// TestRunMetricsPrometheus: the monitor's metrics routes over a recorder
+// filled by a real mine. The text exposition passes the strict parser,
+// carries the miner, RED and runtime families with the recorder's exact
+// counter values, and the scrape writes a JSON access-log record with a
+// request ID. GET /metrics serves the same state as snapshot JSON and
+// has no ?format= switch.
 func TestRunMetricsPrometheus(t *testing.T) {
-	path := writeLongStreamCSV(t, 30000)
-	var out, errBuf syncBuffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run([]string{
-			"-input", path, "-group", "result",
-			"-window", "2000", "-every", "500",
-			"-metrics", "127.0.0.1:0",
-			"-log-format", "json",
-		}, &out, &errBuf)
-	}()
-
-	var addr string
-	deadline := time.Now().Add(5 * time.Second)
-	for addr == "" && time.Now().Before(deadline) {
-		s := errBuf.String()
-		if i := strings.Index(s, "http://"); i >= 0 {
-			if j := strings.Index(s[i:], "/metrics"); j >= 0 {
-				addr = s[i : i+j+len("/metrics")]
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+	f, err := os.Open(writeStreamCSV(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if addr == "" {
-		t.Fatalf("metrics address never announced: %s", errBuf.String())
+	defer f.Close()
+	d, err := sdadcs.FromCSV(f, sdadcs.CSVOptions{GroupColumn: "result"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sdadcs.NewMetricsRecorder()
+	sdadcs.Mine(d, sdadcs.Config{MaxDepth: 2, Metrics: rec})
+	snap := rec.Snapshot()
+	if snap.SDADCalls == 0 || snap.TotalPruned() == 0 {
+		t.Fatalf("mine recorded no SDAD-CS calls or prune hits: %+v", snap)
 	}
 
-	scraped := false
-	for time.Now().Before(deadline) && !scraped {
-		resp, err := http.Get(addr + "/prometheus")
+	var logBuf syncBuffer
+	log, err := obs.Config{Format: "json", Output: &logBuf}.NewLogger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(metricsHandler(rec, log))
+	defer srv.Close()
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
-			break // server already closed: replay finished
+			t.Fatal(err)
 		}
-		page, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			t.Fatal(rerr)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if lerr := obs.LintExposition(page); lerr != nil {
-			t.Fatalf("scrape fails strict parse: %v\n%s", lerr, page)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
 		}
-		for _, want := range []string{"sdadcs_miner_sdad_calls_total", "sdadcs_http_requests_total", "go_goroutines"} {
-			if !strings.Contains(string(page), want) {
-				t.Errorf("scrape missing %q", want)
-			}
-		}
-		scraped = true
+		return resp, body
 	}
-	t.Logf("live prometheus scrape succeeded: %v", scraped)
 
-	if code := <-done; code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
+	resp, page := get("/metrics/prometheus")
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
+		t.Errorf("content type %q, want %q", ct, obs.ContentType)
 	}
-	if scraped {
-		// The scrape produced a JSON access-log record with a request ID.
-		found := false
-		for _, line := range strings.Split(errBuf.String(), "\n") {
-			if !strings.HasPrefix(line, "{") {
-				continue
-			}
-			var rec map[string]any
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				t.Fatalf("non-JSON log line %q: %v", line, err)
-			}
-			if rec["msg"] == "http request" {
-				if id, _ := rec["request_id"].(string); !strings.HasPrefix(id, "req_") {
-					t.Fatalf("access log without request_id: %s", line)
-				}
-				found = true
-			}
+	if err := obs.LintExposition(page); err != nil {
+		t.Fatalf("scrape fails strict parse: %v\n%s", err, page)
+	}
+	var wants []string
+	for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
+		wants = append(wants, fmt.Sprintf("sdadcs_miner_%s_total %d\n", c, snap.Counter(c)))
+	}
+	for _, want := range append(wants,
+		fmt.Sprintf("sdadcs_miner_prune_hits_total{rule=\"min_deviation\"} %d\n", snap.PruneHits(metrics.PruneMinDeviation)),
+		`sdadcs_miner_level_nodes_total{level="2"}`,
+		"sdadcs_http_in_flight 1", // the scrape itself
+		"go_goroutines",
+	) {
+		if !strings.Contains(string(page), want) {
+			t.Errorf("scrape missing %q:\n%s", want, page)
 		}
-		if !found {
-			t.Errorf("no access-log record for the scrape: %s", errBuf.String())
+	}
+
+	found := false
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		var rec map[string]any
+		if line == "" || json.Unmarshal([]byte(line), &rec) != nil || rec["msg"] != "http request" {
+			continue
+		}
+		if id, _ := rec["request_id"].(string); !strings.HasPrefix(id, "req_") || rec["component"] != "monitor.http" {
+			t.Fatalf("access log without request_id or component: %s", line)
+		}
+		found = true
+	}
+	if !found {
+		t.Errorf("no access-log record for the scrape: %s", logBuf.String())
+	}
+
+	for _, path := range []string{"/metrics", "/metrics?format=prometheus"} {
+		_, body := get(path)
+		var got sdadcs.MetricsSnapshot
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("GET %s is not snapshot JSON: %v\n%s", path, err, body)
+		}
+		if got.SDADCalls != snap.SDADCalls || got.TotalPruned() != snap.TotalPruned() {
+			t.Errorf("GET %s: counters differ from the recorder's", path)
 		}
 	}
 }

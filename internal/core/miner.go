@@ -60,9 +60,9 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	m.memo = newSupportMemo(d, ix)
 	m.scratch = make([]sdadScratch, max(cfg.Workers, 1))
 	if built {
-		m.rec.BitmapBuilds(ix.NumBitmaps())
+		m.rec.Add(metrics.BitmapBuilds, ix.NumBitmaps())
 	} else {
-		m.rec.BitmapIndexReuse()
+		m.rec.Add(metrics.BitmapIndexReuses, 1)
 	}
 	attrs := cfg.Attrs
 	if attrs == nil {
@@ -311,7 +311,7 @@ func (m *miner) materialize(nd node) *bitmap.Set {
 	case nd.val == nil:
 		return nd.base
 	}
-	m.rec.BitmapAnds(1)
+	m.rec.Add(metrics.BitmapAndOps, 1)
 	return nd.base.And(nd.val)
 }
 
@@ -495,7 +495,7 @@ func (m *miner) coverView(cover *bitmap.Set) dataset.View {
 	if cover == nil {
 		return m.d.All()
 	}
-	m.rec.BitmapMaterialize()
+	m.rec.Add(metrics.BitmapLazyRows, 1)
 	return m.d.Restrict(cover.Rows())
 }
 
@@ -515,9 +515,9 @@ func (m *miner) groupCounts(nd node) []int {
 		return counts
 	}
 	if b != nil {
-		m.rec.BitmapAnds(1)
+		m.rec.Add(metrics.BitmapAndOps, 1)
 	}
-	m.rec.BitmapPopcounts(len(m.sizes))
+	m.rec.Add(metrics.BitmapPopcounts, len(m.sizes))
 	m.index.AndGroupCountsInto(a, b, counts)
 	return counts
 }

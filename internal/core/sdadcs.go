@@ -73,7 +73,7 @@ func (s *sdadScratch) levelRows(level, n int) []int {
 // the contrast spaces found (after bottom-up merging).
 func (r *sdadRun) run(catSet pattern.Itemset, cover dataset.View) []pattern.Contrast {
 	r.stats.SDADCalls++
-	r.rec.SDADCall()
+	r.rec.Add(metrics.SDADCalls, 1)
 	var startTS int64
 	var start time.Time
 	if r.tr.Enabled() {
@@ -123,7 +123,7 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	if splits == 0 {
 		return nil
 	}
-	r.rec.Splits(splits)
+	r.rec.Add(metrics.Splits, splits)
 
 	// Assign every view row to its space in a single pass: the interval
 	// choices partition each attribute's current range, so each row lands
@@ -145,7 +145,7 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	for _, ch := range choices {
 		totalSpaces *= len(ch)
 	}
-	r.rec.BoxesExplored(totalSpaces)
+	r.rec.Add(metrics.BoxesExplored, totalSpaces)
 	n := view.Len()
 	if cap(r.scratch.boxOf) < n {
 		r.scratch.boxOf = make([]int32, n)
@@ -421,14 +421,14 @@ func (r *sdadRun) merge(d []pattern.Contrast) []pattern.Contrast {
 				if _, done := failed[key]; done {
 					continue
 				}
-				r.rec.MergeAttempt()
+				r.rec.Add(metrics.MergeAttempts, 1)
 				u, ok := r.tryMerge(spaces[i].Contrast, spaces[j].Contrast)
 				if !ok {
 					failed[key] = struct{}{}
 					continue
 				}
 				r.stats.MergeOps++
-				r.rec.MergeOp()
+				r.rec.Add(metrics.MergeOps, 1)
 				// Replace the pair with the union, splicing it into the
 				// existing volume order (j > i, so remove j first).
 				spaces = append(spaces[:j], spaces[j+1:]...)

@@ -95,12 +95,35 @@ func (s HistogramSnapshot) Cumulative() []CumulativeBucket {
 
 // Snapshot copies the histogram.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
+	var dense [numBuckets]int64
+	for i := range dense {
+		dense[i] = h.buckets[i].Load()
+	}
+	return HistogramSnapshot{
 		Count:      h.count.Load(),
 		TotalNanos: h.total.Load(),
+		Buckets:    sparseBuckets(&dense),
 	}
-	for i := 0; i < numBuckets; i++ {
-		c := h.buckets[i].Load()
+}
+
+// merge folds o's observations into s.
+func (s *HistogramSnapshot) merge(o HistogramSnapshot) {
+	var dense [numBuckets]int64
+	for _, bs := range [][]BucketCount{s.Buckets, o.Buckets} {
+		for _, b := range bs {
+			dense[bucketIndex(time.Duration(b.LoNanos))] += b.Count
+		}
+	}
+	s.Count += o.Count
+	s.TotalNanos += o.TotalNanos
+	s.Buckets = sparseBuckets(&dense)
+}
+
+// sparseBuckets lists the non-empty buckets of dense per-bucket counts in
+// ascending duration order (nil when all are empty).
+func sparseBuckets(dense *[numBuckets]int64) []BucketCount {
+	var out []BucketCount
+	for i, c := range dense {
 		if c == 0 {
 			continue
 		}
@@ -111,7 +134,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		if i < numBuckets-1 {
 			b.HiNanos = int64(1) << uint(i)
 		}
-		s.Buckets = append(s.Buckets, b)
+		out = append(out, b)
 	}
-	return s
+	return out
 }

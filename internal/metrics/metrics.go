@@ -50,27 +50,65 @@ const (
 	numPruneRules
 )
 
-// String names the rule (stable identifiers used in the JSON snapshot).
+// pruneNames are the rules' stable identifiers in the JSON snapshot and
+// the Prometheus rule label.
+var pruneNames = [numPruneRules]string{"min_deviation", "expected_count", "chisq_oe",
+	"redundancy_clt", "pure_space", "lookup_table", "optimistic_estimate"}
+
+// String names the rule ("unknown" out of range).
 func (r PruneRule) String() string {
-	switch r {
-	case PruneMinDeviation:
-		return "min_deviation"
-	case PruneExpectedCount:
-		return "expected_count"
-	case PruneChiSquareOE:
-		return "chisq_oe"
-	case PruneRedundancyCLT:
-		return "redundancy_clt"
-	case PrunePureSpace:
-		return "pure_space"
-	case PruneLookupTable:
-		return "lookup_table"
-	case PruneOptimisticEstimate:
-		return "optimistic_estimate"
-	default:
+	if r < 0 || r >= numPruneRules {
 		return "unknown"
 	}
+	return pruneNames[r]
 }
+
+// Counter enumerates the plain miner counters: unlabeled monotone totals.
+// Each has one row in counterDescs, which names it in the JSON snapshot
+// and the Prometheus exposition and points at its Snapshot field.
+type Counter int
+
+// Plain counters, in Snapshot field order.
+const (
+	SDADCalls         Counter = iota // SDAD-CS (Algorithm 1) invocations
+	Splits                           // median splits of partition steps
+	BoxesExplored                    // partition boxes formed by find_combs
+	MergeAttempts                    // tryMerge calls of the bottom-up phase
+	MergeOps                         // successful space merges
+	BitmapBuilds                     // bitmaps built for a dataset's value index (once per dataset, bitmap.Shared)
+	BitmapIndexReuses                // Mine calls that found the dataset's index already built
+	BitmapAndOps                     // fused base ∧ value child counts and survivor covers written out
+	BitmapPopcounts                  // popcount passes (per-group support counts, cover sizes)
+	BitmapLazyRows                   // lazy cover → row-slice materializations for SDAD-CS box interiors
+
+	// NumCounters is the number of plain counters.
+	NumCounters
+)
+
+// counterDescs declares each plain counter once: its JSON field name (the
+// Prometheus family is prefix + name + "_total"), its help text and its
+// Snapshot field.
+var counterDescs = [NumCounters]struct {
+	name, help string
+	field      func(*Snapshot) *int64
+}{
+	SDADCalls:         {"sdad_calls", "SDAD-CS discretization invocations.", func(s *Snapshot) *int64 { return &s.SDADCalls }},
+	Splits:            {"splits", "Median splits performed by SDAD-CS.", func(s *Snapshot) *int64 { return &s.Splits }},
+	BoxesExplored:     {"boxes_explored", "Partition boxes explored by SDAD-CS.", func(s *Snapshot) *int64 { return &s.BoxesExplored }},
+	MergeAttempts:     {"merge_attempts", "Bottom-up merge attempts.", func(s *Snapshot) *int64 { return &s.MergeAttempts }},
+	MergeOps:          {"merge_ops", "Successful space merges.", func(s *Snapshot) *int64 { return &s.MergeOps }},
+	BitmapBuilds:      {"bitmap_builds", "Bitmaps constructed for the dataset index.", func(s *Snapshot) *int64 { return &s.BitmapBuilds }},
+	BitmapIndexReuses: {"bitmap_index_reuses", "Mine calls that reused an already-built index.", func(s *Snapshot) *int64 { return &s.BitmapIndexReuses }},
+	BitmapAndOps:      {"bitmap_and_ops", "Cover AND value-bitmap intersections.", func(s *Snapshot) *int64 { return &s.BitmapAndOps }},
+	BitmapPopcounts:   {"bitmap_popcounts", "Popcount passes over covers and group masks.", func(s *Snapshot) *int64 { return &s.BitmapPopcounts }},
+	BitmapLazyRows:    {"bitmap_lazy_rows", "Lazy cover to row-slice materializations.", func(s *Snapshot) *int64 { return &s.BitmapLazyRows }},
+}
+
+// String is the counter's JSON field name.
+func (c Counter) String() string { return counterDescs[c].name }
+
+// Help is the counter's one-line description (the Prometheus HELP text).
+func (c Counter) Help() string { return counterDescs[c].help }
 
 // maxLevels bounds the per-level aggregates. Combination-search depth is
 // cfg.MaxDepth (default 5, paper's stunted tree); deeper levels clamp into
@@ -115,13 +153,15 @@ func (t *timer) observe(d time.Duration) {
 			break
 		}
 	}
+	raise(&t.maxNanos, n)
+}
+
+// raise lifts a to v if v is larger (CAS loop).
+func raise(a *atomic.Int64, v int64) {
 	for {
-		cur := t.maxNanos.Load()
-		if cur >= n {
-			break
-		}
-		if t.maxNanos.CompareAndSwap(cur, n) {
-			break
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
 }
@@ -149,19 +189,7 @@ type Recorder struct {
 	// maxLevel tracks the deepest level observed (1-based; 0 = none).
 	maxLevel atomic.Int64
 
-	// SDAD-CS discretization counters.
-	sdadCalls     atomic.Int64
-	splits        atomic.Int64 // median splits performed
-	boxes         atomic.Int64 // partition boxes explored (find_combs)
-	mergeAttempts atomic.Int64
-	mergeOps      atomic.Int64
-
-	// Bitmap support-counting counters.
-	bitmapBuilds       atomic.Int64 // bitmaps constructed for the dataset-cached index
-	bitmapIndexReuses  atomic.Int64 // Mine calls that reused an already-built index
-	bitmapAndOps       atomic.Int64 // cover ∧ value-bitmap intersections
-	bitmapPopcounts    atomic.Int64 // popcount passes (group counts, cover sizes)
-	bitmapMaterialized atomic.Int64 // lazy cover → row-slice materializations
+	counters [NumCounters]atomic.Int64
 
 	// Top-k threshold dynamics.
 	thresholdUpdates atomic.Int64
@@ -200,15 +228,7 @@ func (r *Recorder) PruneHit(rule PruneRule) {
 }
 
 // levelSlot clamps a 1-based level into the aggregate array.
-func levelSlot(level int) int {
-	if level < 1 {
-		level = 1
-	}
-	if level > maxLevels {
-		level = maxLevels
-	}
-	return level - 1
-}
+func levelSlot(level int) int { return min(max(level, 1), maxLevels) - 1 }
 
 // LevelObserve records one completed search level: frontier size, survivor
 // count, contrasts emitted, worker fan-out and wall time.
@@ -221,23 +241,8 @@ func (r *Recorder) LevelObserve(level, nodes, survivors, contrasts, workers int,
 	lc.survivors.Add(int64(survivors))
 	lc.contrasts.Add(int64(contrasts))
 	lc.wallNanos.Add(int64(wall))
-	if w := int64(workers); w > lc.workers.Load() {
-		lc.workers.Store(w)
-	}
-	r.observeLevelDepth(level)
-}
-
-// observeLevelDepth raises maxLevel to the given level (CAS loop).
-func (r *Recorder) observeLevelDepth(level int) {
-	for {
-		cur := r.maxLevel.Load()
-		if int64(level) <= cur {
-			return
-		}
-		if r.maxLevel.CompareAndSwap(cur, int64(level)) {
-			return
-		}
-	}
+	raise(&lc.workers, int64(workers))
+	raise(&r.maxLevel, int64(level))
 }
 
 // NodeEval records one node evaluation at a level: its duration feeds both
@@ -249,95 +254,15 @@ func (r *Recorder) NodeEval(level int, d time.Duration) {
 	}
 	r.levels[levelSlot(level)].evalNanos.Add(int64(d))
 	r.nodeEval.Observe(d)
-	r.observeLevelDepth(level)
+	raise(&r.maxLevel, int64(level))
 }
 
-// SDADCall counts one SDAD-CS (Algorithm 1) invocation.
-func (r *Recorder) SDADCall() {
+// Add adds n to a plain counter.
+func (r *Recorder) Add(c Counter, n int) {
 	if r == nil {
 		return
 	}
-	r.sdadCalls.Add(1)
-}
-
-// Splits counts median splits performed by one partition step.
-func (r *Recorder) Splits(n int) {
-	if r == nil {
-		return
-	}
-	r.splits.Add(int64(n))
-}
-
-// BoxesExplored counts partition boxes formed by find_combs.
-func (r *Recorder) BoxesExplored(n int) {
-	if r == nil {
-		return
-	}
-	r.boxes.Add(int64(n))
-}
-
-// MergeAttempt counts one tryMerge call of the bottom-up phase.
-func (r *Recorder) MergeAttempt() {
-	if r == nil {
-		return
-	}
-	r.mergeAttempts.Add(1)
-}
-
-// MergeOp counts one successful space merge.
-func (r *Recorder) MergeOp() {
-	if r == nil {
-		return
-	}
-	r.mergeOps.Add(1)
-}
-
-// BitmapBuilds counts bitmaps constructed while building a dataset's
-// value index (one per categorical value and per group). The index is
-// built once per dataset and shared by every later Mine (bitmap.Shared).
-func (r *Recorder) BitmapBuilds(n int) {
-	if r == nil {
-		return
-	}
-	r.bitmapBuilds.Add(int64(n))
-}
-
-// BitmapIndexReuse counts one Mine call that found the dataset's index
-// already built and skipped construction entirely — the reuse signal the
-// index-caching tests assert against BitmapBuilds.
-func (r *Recorder) BitmapIndexReuse() {
-	if r == nil {
-		return
-	}
-	r.bitmapIndexReuses.Add(1)
-}
-
-// BitmapAnds counts n cover ∧ value-bitmap intersections: a frontier
-// node's fused count of base ∧ val, or a survivor's cover written out.
-func (r *Recorder) BitmapAnds(n int) {
-	if r == nil {
-		return
-	}
-	r.bitmapAndOps.Add(int64(n))
-}
-
-// BitmapPopcounts counts n popcount passes (per-group support counts and
-// cover cardinalities).
-func (r *Recorder) BitmapPopcounts(n int) {
-	if r == nil {
-		return
-	}
-	r.bitmapPopcounts.Add(int64(n))
-}
-
-// BitmapMaterialize counts one lazy bitmap-cover → row-slice
-// materialization (the SDAD-CS fallback: box interiors need raw row indices
-// for median computation).
-func (r *Recorder) BitmapMaterialize() {
-	if r == nil {
-		return
-	}
-	r.bitmapMaterialized.Add(1)
+	r.counters[c].Add(int64(n))
 }
 
 // ThresholdUpdate records a top-k admission-threshold change.
@@ -359,15 +284,7 @@ func (r *Recorder) TraceVolume(emitted, dropped uint64, highWater int) {
 	}
 	r.traceEmitted.Store(emitted)
 	r.traceDropped.Store(dropped)
-	for {
-		cur := r.traceHighWater.Load()
-		if int64(highWater) <= cur {
-			return
-		}
-		if r.traceHighWater.CompareAndSwap(cur, int64(highWater)) {
-			return
-		}
-	}
+	raise(&r.traceHighWater, int64(highWater))
 }
 
 // RemineObserve records one stream-monitor window re-mine latency.
@@ -464,6 +381,56 @@ func (s *Snapshot) TotalPruned() int64 {
 	return n
 }
 
+// Counter returns a plain counter's value in the snapshot.
+func (s *Snapshot) Counter(c Counter) int64 { return *counterDescs[c].field(s) }
+
+// Merge folds o into s, making s a total over several runs: counters,
+// prune hits, per-level aggregates, the node-evaluation histogram, the
+// re-mine timer and the trace volume add up; level fan-out, re-mine
+// extremes and the trace high-water mark keep their extreme; the
+// threshold takes o's value. Uptime is left as is.
+func (s *Snapshot) Merge(o Snapshot) {
+	for c := Counter(0); c < NumCounters; c++ {
+		*counterDescs[c].field(s) += o.Counter(c)
+	}
+	for _, p := range o.Prune {
+		i := 0
+		for i < len(s.Prune) && s.Prune[i].Rule != p.Rule {
+			i++
+		}
+		if i == len(s.Prune) {
+			s.Prune = append(s.Prune, PruneCount{Rule: p.Rule})
+		}
+		s.Prune[i].Hits += p.Hits
+	}
+	for i, lv := range o.Levels {
+		if i == len(s.Levels) {
+			s.Levels = append(s.Levels, LevelSnapshot{Level: lv.Level})
+		}
+		l := &s.Levels[i]
+		l.Nodes += lv.Nodes
+		l.Survivors += lv.Survivors
+		l.Contrasts += lv.Contrasts
+		l.WallNanos += lv.WallNanos
+		l.EvalNanos += lv.EvalNanos
+		l.Workers = max(l.Workers, lv.Workers)
+	}
+	s.ThresholdUpdates += o.ThresholdUpdates
+	s.Threshold = o.Threshold
+	s.NodeEval.merge(o.NodeEval)
+	if o.Remine.Count > 0 {
+		if s.Remine.Count == 0 || o.Remine.MinNanos < s.Remine.MinNanos {
+			s.Remine.MinNanos = o.Remine.MinNanos
+		}
+		s.Remine.MaxNanos = max(s.Remine.MaxNanos, o.Remine.MaxNanos)
+		s.Remine.Count += o.Remine.Count
+		s.Remine.TotalNanos += o.Remine.TotalNanos
+	}
+	s.TraceEvents += o.TraceEvents
+	s.TraceDropped += o.TraceDropped
+	s.TraceHighWater = max(s.TraceHighWater, o.TraceHighWater)
+}
+
 // Snapshot copies the recorder's state. A nil recorder yields the zero
 // snapshot (empty slices omitted), so callers can snapshot unconditionally.
 func (r *Recorder) Snapshot() Snapshot {
@@ -471,23 +438,16 @@ func (r *Recorder) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		SDADCalls:         r.sdadCalls.Load(),
-		Splits:            r.splits.Load(),
-		BoxesExplored:     r.boxes.Load(),
-		MergeAttempts:     r.mergeAttempts.Load(),
-		MergeOps:          r.mergeOps.Load(),
-		BitmapBuilds:      r.bitmapBuilds.Load(),
-		BitmapIndexReuses: r.bitmapIndexReuses.Load(),
-		BitmapAndOps:      r.bitmapAndOps.Load(),
-		BitmapPopcounts:   r.bitmapPopcounts.Load(),
-		BitmapLazyRows:    r.bitmapMaterialized.Load(),
-		ThresholdUpdates:  r.thresholdUpdates.Load(),
-		Threshold:         math.Float64frombits(r.thresholdBits.Load()),
-		NodeEval:          r.nodeEval.Snapshot(),
-		Remine:            r.remine.snapshot(),
-		TraceEvents:       r.traceEmitted.Load(),
-		TraceDropped:      r.traceDropped.Load(),
-		TraceHighWater:    r.traceHighWater.Load(),
+		ThresholdUpdates: r.thresholdUpdates.Load(),
+		Threshold:        math.Float64frombits(r.thresholdBits.Load()),
+		NodeEval:         r.nodeEval.Snapshot(),
+		Remine:           r.remine.snapshot(),
+		TraceEvents:      r.traceEmitted.Load(),
+		TraceDropped:     r.traceDropped.Load(),
+		TraceHighWater:   r.traceHighWater.Load(),
+	}
+	for c := Counter(0); c < NumCounters; c++ {
+		*counterDescs[c].field(&s) = r.counters[c].Load()
 	}
 	if !r.start.IsZero() {
 		s.UptimeNanos = int64(time.Since(r.start))

@@ -26,12 +26,8 @@ func TestConcurrentIncrements(t *testing.T) {
 				r.PruneHit(PruneMinDeviation)
 				r.PruneHit(PruneRule(i % int(numPruneRules)))
 				r.NodeEval(1+(i%3), time.Duration(i)*time.Microsecond)
-				r.SDADCall()
-				r.Splits(2)
-				r.BoxesExplored(4)
-				r.MergeAttempt()
-				if i%10 == 0 {
-					r.MergeOp()
+				for c := Counter(0); c < NumCounters; c++ {
+					r.Add(c, 1+int(c))
 				}
 				r.ThresholdUpdate(float64(i))
 				r.RemineObserve(time.Duration(1+i) * time.Millisecond)
@@ -47,20 +43,10 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := s.TotalPruned(); got != 2*workers*perWorker {
 		t.Errorf("total prune hits = %d, want %d", got, 2*workers*perWorker)
 	}
-	if s.SDADCalls != workers*perWorker {
-		t.Errorf("SDADCalls = %d, want %d", s.SDADCalls, workers*perWorker)
-	}
-	if s.Splits != 2*workers*perWorker {
-		t.Errorf("Splits = %d, want %d", s.Splits, 2*workers*perWorker)
-	}
-	if s.BoxesExplored != 4*workers*perWorker {
-		t.Errorf("BoxesExplored = %d, want %d", s.BoxesExplored, 4*workers*perWorker)
-	}
-	if s.MergeAttempts != workers*perWorker {
-		t.Errorf("MergeAttempts = %d, want %d", s.MergeAttempts, workers*perWorker)
-	}
-	if s.MergeOps != workers*perWorker/10 {
-		t.Errorf("MergeOps = %d, want %d", s.MergeOps, workers*perWorker/10)
+	for c := Counter(0); c < NumCounters; c++ {
+		if got, want := s.Counter(c), int64(1+c)*workers*perWorker; got != want {
+			t.Errorf("%s = %d, want %d", c, got, want)
+		}
 	}
 	if s.ThresholdUpdates != workers*perWorker {
 		t.Errorf("ThresholdUpdates = %d, want %d", s.ThresholdUpdates, workers*perWorker)
@@ -139,11 +125,9 @@ func TestDisabledRecorderAllocs(t *testing.T) {
 		r.PruneHit(PrunePureSpace)
 		r.LevelObserve(1, 10, 5, 1, 2, time.Millisecond)
 		r.NodeEval(1, time.Microsecond)
-		r.SDADCall()
-		r.Splits(3)
-		r.BoxesExplored(8)
-		r.MergeAttempt()
-		r.MergeOp()
+		for c := Counter(0); c < NumCounters; c++ {
+			r.Add(c, 3)
+		}
 		r.ThresholdUpdate(0.5)
 		r.RemineObserve(time.Millisecond)
 		if r.Enabled() {
@@ -165,7 +149,9 @@ func TestEnabledRecorderCounterAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.PruneHit(PruneExpectedCount)
 		r.NodeEval(2, time.Microsecond)
-		r.SDADCall()
+		for c := Counter(0); c < NumCounters; c++ {
+			r.Add(c, 3)
+		}
 		r.ThresholdUpdate(0.5)
 	})
 	if allocs != 0 {

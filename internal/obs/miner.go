@@ -6,44 +6,69 @@ import (
 	"sdadcs/internal/metrics"
 )
 
-// MinerFamilies flattens one miner instrumentation snapshot into
-// exposition families under the given metric-name prefix
-// ("sdadcs_miner_"). It is the Prometheus rendering of the same state
-// the JSON /metrics endpoint serves: search-effort counters, per-rule
-// prune hits, per-level node counts, the node-evaluation latency
-// histogram, the top-k threshold, and stream re-mine totals.
-func MinerFamilies(prefix string, s metrics.Snapshot) []Family {
-	prune := Family{Name: prefix + "prune_hits_total", Help: "Pruning-rule firings, by rule.", Type: TypeCounter}
-	for _, p := range s.Prune {
-		prune.Samples = append(prune.Samples, Sample{
-			Labels: []Label{{Name: "rule", Value: p.Rule}},
-			Value:  float64(p.Hits),
-		})
+// MinerSeries is one miner instrumentation snapshot and the labels its
+// samples carry (none for a single process-wide recorder; the algorithm
+// for the service's per-algorithm totals).
+type MinerSeries struct {
+	Labels   []Label
+	Snapshot metrics.Snapshot
+}
+
+// MinerFamilies flattens miner instrumentation snapshots into exposition
+// families under the given metric-name prefix ("sdadcs_miner_"), one
+// sample per series in each family. It is the Prometheus rendering of
+// the same state the JSON snapshot serves: search-effort counters (one
+// family per metrics.Counter), per-rule prune hits, per-level node
+// counts, the node-evaluation latency histogram, the top-k threshold,
+// and stream re-mine totals. No series, no families.
+func MinerFamilies(prefix string, series ...MinerSeries) []Family {
+	if len(series) == 0 {
+		return nil
 	}
-	levels := Family{Name: prefix + "level_nodes_total", Help: "Frontier nodes evaluated, by search level.", Type: TypeCounter}
-	var nodes, contrasts int64
-	for _, lv := range s.Levels {
-		nodes += lv.Nodes
-		contrasts += lv.Contrasts
-		levels.Samples = append(levels.Samples, Sample{
-			Labels: []Label{{Name: "level", Value: strconv.Itoa(lv.Level)}},
-			Value:  float64(lv.Nodes),
-		})
+	each := func(typ FamilyType, name, help string, value func(*metrics.Snapshot) float64) Family {
+		f := Family{Name: prefix + name, Help: help, Type: typ}
+		for i := range series {
+			f.Samples = append(f.Samples, Sample{Labels: series[i].Labels, Value: value(&series[i].Snapshot)})
+		}
+		return f
+	}
+	levelSum := func(field func(metrics.LevelSnapshot) int64) func(*metrics.Snapshot) float64 {
+		return func(s *metrics.Snapshot) float64 {
+			var n int64
+			for _, lv := range s.Levels {
+				n += field(lv)
+			}
+			return float64(n)
+		}
 	}
 	fams := []Family{
-		Counter(prefix+"nodes_total", "Frontier nodes evaluated across all levels.", float64(nodes)),
-		Counter(prefix+"contrasts_total", "Contrast candidates emitted by the search.", float64(contrasts)),
-		Counter(prefix+"sdad_calls_total", "SDAD-CS discretization invocations.", float64(s.SDADCalls)),
-		Counter(prefix+"splits_total", "Median splits performed by SDAD-CS.", float64(s.Splits)),
-		Counter(prefix+"boxes_explored_total", "Partition boxes explored by SDAD-CS.", float64(s.BoxesExplored)),
-		Counter(prefix+"merge_attempts_total", "Bottom-up merge attempts.", float64(s.MergeAttempts)),
-		Counter(prefix+"merge_ops_total", "Successful space merges.", float64(s.MergeOps)),
-		Counter(prefix+"bitmap_builds_total", "Bitmaps constructed for the dataset index.", float64(s.BitmapBuilds)),
-		Counter(prefix+"bitmap_index_reuses_total", "Mine calls that reused an already-built index.", float64(s.BitmapIndexReuses)),
-		Counter(prefix+"bitmap_and_ops_total", "Cover AND value-bitmap intersections.", float64(s.BitmapAndOps)),
-		Counter(prefix+"bitmap_popcounts_total", "Popcount passes over covers and group masks.", float64(s.BitmapPopcounts)),
-		Counter(prefix+"threshold_updates_total", "Top-k admission-threshold changes.", float64(s.ThresholdUpdates)),
-		Gauge(prefix+"threshold", "Current top-k admission threshold.", s.Threshold),
+		each(TypeCounter, "nodes_total", "Frontier nodes evaluated across all levels.", levelSum(func(lv metrics.LevelSnapshot) int64 { return lv.Nodes })),
+		each(TypeCounter, "contrasts_total", "Contrast candidates emitted by the search.", levelSum(func(lv metrics.LevelSnapshot) int64 { return lv.Contrasts })),
+	}
+	for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
+		fams = append(fams, each(TypeCounter, c.String()+"_total", c.Help(), func(s *metrics.Snapshot) float64 { return float64(s.Counter(c)) }))
+	}
+	fams = append(fams,
+		each(TypeCounter, "threshold_updates_total", "Top-k admission-threshold changes.", func(s *metrics.Snapshot) float64 { return float64(s.ThresholdUpdates) }),
+		each(TypeGauge, "threshold", "Current top-k admission threshold.", func(s *metrics.Snapshot) float64 { return s.Threshold }),
+	)
+	prune := Family{Name: prefix + "prune_hits_total", Help: "Pruning-rule firings, by rule.", Type: TypeCounter}
+	levels := Family{Name: prefix + "level_nodes_total", Help: "Frontier nodes evaluated, by search level.", Type: TypeCounter}
+	eval := Family{Name: prefix + "node_eval_seconds", Help: "Per-node evaluation latency.", Type: TypeHistogram}
+	for _, ms := range series {
+		for _, p := range ms.Snapshot.Prune {
+			prune.Samples = append(prune.Samples, Sample{
+				Labels: withLabel(ms.Labels, "rule", p.Rule),
+				Value:  float64(p.Hits),
+			})
+		}
+		for _, lv := range ms.Snapshot.Levels {
+			levels.Samples = append(levels.Samples, Sample{
+				Labels: withLabel(ms.Labels, "level", strconv.Itoa(lv.Level)),
+				Value:  float64(lv.Nodes),
+			})
+		}
+		eval.Samples = append(eval.Samples, HistogramSamples(ms.Labels, ms.Snapshot.NodeEval)...)
 	}
 	if len(prune.Samples) > 0 {
 		fams = append(fams, prune)
@@ -51,12 +76,15 @@ func MinerFamilies(prefix string, s metrics.Snapshot) []Family {
 	if len(levels.Samples) > 0 {
 		fams = append(fams, levels)
 	}
-	fams = append(fams,
-		HistogramFamily(prefix+"node_eval_seconds", "Per-node evaluation latency.", nil, s.NodeEval),
-		Counter(prefix+"remine_windows_total", "Stream windows re-mined.", float64(s.Remine.Count)),
-		Counter(prefix+"remine_seconds_total", "Cumulative stream re-mine wall time.", float64(s.Remine.TotalNanos)/1e9),
-		Counter(prefix+"trace_events_total", "Decision-trace events emitted.", float64(s.TraceEvents)),
-		Counter(prefix+"trace_dropped_total", "Decision-trace events dropped on ring overflow.", float64(s.TraceDropped)),
+	return append(fams, eval,
+		each(TypeCounter, "remine_windows_total", "Stream windows re-mined.", func(s *metrics.Snapshot) float64 { return float64(s.Remine.Count) }),
+		each(TypeCounter, "remine_seconds_total", "Cumulative stream re-mine wall time.", func(s *metrics.Snapshot) float64 { return float64(s.Remine.TotalNanos) / 1e9 }),
+		each(TypeCounter, "trace_events_total", "Decision-trace events emitted.", func(s *metrics.Snapshot) float64 { return float64(s.TraceEvents) }),
+		each(TypeCounter, "trace_dropped_total", "Decision-trace events dropped on ring overflow.", func(s *metrics.Snapshot) float64 { return float64(s.TraceDropped) }),
 	)
-	return fams
+}
+
+// withLabel copies labels and appends one more.
+func withLabel(labels []Label, name, value string) []Label {
+	return append(append([]Label(nil), labels...), Label{Name: name, Value: value})
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,13 +71,11 @@ func HistogramSamples(labels []Label, s metrics.HistogramSnapshot) []Sample {
 	cum := s.Cumulative()
 	out := make([]Sample, 0, len(cum)+3)
 	for _, b := range cum {
-		le := append(append([]Label(nil), labels...),
-			Label{Name: "le", Value: formatValue(float64(b.HiNanos) / 1e9)})
+		le := withLabel(labels, "le", formatValue(float64(b.HiNanos)/1e9))
 		out = append(out, Sample{Suffix: "_bucket", Labels: le, Value: float64(b.Count)})
 	}
-	inf := append(append([]Label(nil), labels...), Label{Name: "le", Value: "+Inf"})
 	out = append(out,
-		Sample{Suffix: "_bucket", Labels: inf, Value: float64(s.Count)},
+		Sample{Suffix: "_bucket", Labels: withLabel(labels, "le", "+Inf"), Value: float64(s.Count)},
 		Sample{Suffix: "_sum", Labels: labels, Value: float64(s.TotalNanos) / 1e9},
 		Sample{Suffix: "_count", Labels: labels, Value: float64(s.Count)},
 	)
@@ -195,6 +195,19 @@ func WriteExposition(w io.Writer, families []Family) error {
 
 // ContentType is the Content-Type header value for text exposition.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// PrometheusHandler serves the families fams returns as text exposition.
+// It is the one exposition path of cmd/serve and cmd/monitor, both of
+// which mount it at GET /metrics/prometheus. An encoding error (an
+// invalid metric name, i.e. a programming bug) is logged.
+func PrometheusHandler(log *slog.Logger, fams func() []Family) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", ContentType)
+		if err := WriteExposition(w, fams()); err != nil {
+			log.Error("prometheus exposition failed", "error", err)
+		}
+	}
+}
 
 // ---- strict parser ----
 

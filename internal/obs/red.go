@@ -81,20 +81,8 @@ type RouteSnapshot struct {
 // exposition order is deterministic.
 func (m *HTTPMetrics) Snapshot() []RouteSnapshot {
 	m.mu.Lock()
-	names := make([]string, 0, len(m.routes))
-	for r := range m.routes {
-		names = append(names, r)
-	}
-	routes := make(map[string]*RouteMetrics, len(m.routes))
+	out := make([]RouteSnapshot, 0, len(m.routes))
 	for r, rm := range m.routes {
-		routes[r] = rm
-	}
-	m.mu.Unlock()
-
-	sort.Strings(names)
-	out := make([]RouteSnapshot, 0, len(names))
-	for _, r := range names {
-		rm := routes[r]
 		s := RouteSnapshot{
 			Route:    r,
 			Requests: rm.requests.Load(),
@@ -106,6 +94,8 @@ func (m *HTTPMetrics) Snapshot() []RouteSnapshot {
 		}
 		out = append(out, s)
 	}
+	m.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Route < out[j].Route })
 	return out
 }
 

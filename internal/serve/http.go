@@ -177,9 +177,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //	GET    /v1/jobs/{id}/result       deterministic report JSON (409 until done)
 //	GET    /v1/jobs/{id}/trace        decision trace as JSON Lines
 //	GET    /v1/jobs/{id}/explain?key= pattern provenance (core.Explain)
-//	GET    /v1/metrics                serve counters + live mining snapshots
-//	                                  (?format=prometheus for text exposition)
-//	GET    /v1/metrics/prometheus     text exposition (also /metrics[/prometheus])
+//	GET    /v1/metrics                serve counters + live mining snapshots (JSON)
+//	GET    /metrics/prometheus        the same read as Prometheus text exposition
 //	/debug/pprof/...                  profiling (only with Options.EnablePprof)
 //
 // Every route is wrapped in the RED middleware: request/error counters and
@@ -203,10 +202,12 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/jobs/{id}/result", s.handleResult)
 	handle("GET /v1/jobs/{id}/trace", s.handleTrace)
 	handle("GET /v1/jobs/{id}/explain", s.handleExplain)
-	handle("GET /v1/metrics", s.handleMetrics)
-	handle("GET /v1/metrics/prometheus", s.handlePrometheus)
-	handle("GET /metrics", s.handleMetrics)
-	handle("GET /metrics/prometheus", s.handlePrometheus)
+	handle("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.Metrics())
+	})
+	handle("GET /metrics/prometheus", obs.PrometheusHandler(mw.Log, func() []obs.Family {
+		return s.promFamilies(s.Metrics())
+	}))
 	if s.opts.EnablePprof {
 		// One route label for the whole profiling surface, so scraping
 		// different profiles does not mint new metric series.
@@ -466,15 +467,4 @@ func keyFits(key string, set pattern.Itemset, d *dataset.Dataset) error {
 		return &core.FieldError{Field: "key", Value: key, Reason: reason}
 	}
 	return nil
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Query().Get("format") {
-	case "", "json":
-		writeJSON(w, http.StatusOK, s.Metrics())
-	case "prometheus", "prom":
-		s.handlePrometheus(w, r)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown metrics format %q; json or prometheus", r.URL.Query().Get("format")))
-	}
 }

@@ -327,7 +327,9 @@ type Manager struct {
 	log            *slog.Logger // component serve.jobs
 	mineLog        *slog.Logger // component engine, carried into mine contexts
 	queueWait      metrics.Histogram
-	miners         *minerTotals
+
+	totalsMu sync.Mutex
+	totals   map[string]*algTotals // by algorithm
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -359,7 +361,7 @@ func newManager(reg *Registry, cache *resultCache, workers, queueDepth int, defa
 		counters:       c,
 		log:            log.With("component", "serve.jobs"),
 		mineLog:        log.With("component", "engine"),
-		miners:         newMinerTotals(),
+		totals:         make(map[string]*algTotals),
 		baseCtx:        ctx,
 		baseCancel:     cancel,
 		jobs:           make(map[string]*Job),
@@ -375,11 +377,6 @@ func newManager(reg *Registry, cache *resultCache, workers, queueDepth int, defa
 // QueueWait snapshots the queue-wait histogram (pending → running).
 func (m *Manager) QueueWait() metrics.HistogramSnapshot {
 	return m.queueWait.Snapshot()
-}
-
-// MinerTotals snapshots the per-algorithm accumulated mining effort.
-func (m *Manager) MinerTotals() []AlgorithmTotals {
-	return m.miners.snapshot()
 }
 
 // Submit validates, resolves the dataset, and either completes the job
@@ -615,7 +612,7 @@ func (m *Manager) runJob(job *Job) {
 
 	mineStart := time.Now()
 	res, err := m.mine(runCtx, job, cfg)
-	m.miners.observe(job.algorithm(), rec.Snapshot(), len(res.Contrasts), time.Since(mineStart))
+	m.observeMine(job.algorithm(), rec.Snapshot(), time.Since(mineStart))
 	if err != nil {
 		m.finishFlight(job, nil, err)
 		return

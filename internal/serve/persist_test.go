@@ -267,7 +267,7 @@ func TestStoreMetricsExposed(t *testing.T) {
 		t.Fatalf("store health: %+v", m.Store)
 	}
 
-	code, page := c.do("GET", "/v1/metrics?format=prometheus", nil)
+	code, page := c.do("GET", "/metrics/prometheus", nil)
 	if code != http.StatusOK {
 		t.Fatalf("prometheus: %d", code)
 	}
@@ -293,7 +293,7 @@ func TestStoreMetricsExposed(t *testing.T) {
 
 	// Without a store, none of the sdadcs_store_* series exist.
 	_, cNo := newTestServer(t, Options{Workers: 1})
-	_, pageNo := cNo.do("GET", "/v1/metrics?format=prometheus", nil)
+	_, pageNo := cNo.do("GET", "/metrics/prometheus", nil)
 	if strings.Contains(string(pageNo), "sdadcs_store_") {
 		t.Fatal("store series exposed without a store attached")
 	}

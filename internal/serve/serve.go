@@ -82,7 +82,7 @@ type counters struct {
 // internal/metrics snapshot per running job (the same JSON shape
 // cmd/monitor -metrics serves). The JSON shape is a compatibility
 // surface — new series land in the Prometheus exposition
-// (/v1/metrics?format=prometheus), not here.
+// (/metrics/prometheus), not here. Both encode one Metrics read.
 type ServerMetrics struct {
 	UptimeNanos        int64 `json:"uptime_ns"`
 	DatasetsRegistered int   `json:"datasets_registered"`
@@ -107,6 +107,11 @@ type ServerMetrics struct {
 	CacheHits          int64 `json:"cache_hits"`
 	DedupHits          int64 `json:"dedup_hits"`
 	ResultCacheEntries int   `json:"result_cache_entries"`
+	// Ready, JobPanics and ResultCacheEvictions reach only the Prometheus
+	// exposition; they stay out of the JSON to keep it byte-compatible.
+	Ready                bool  `json:"-"`
+	JobPanics            int64 `json:"-"`
+	ResultCacheEvictions int64 `json:"-"`
 	// Store reports the persistence backend's durability counters and the
 	// registry's cold-tier lifecycle. Omitted entirely when the server has
 	// no store attached, keeping the no-persistence JSON byte-compatible.
@@ -221,24 +226,27 @@ func (s *Server) Metrics() ServerMetrics {
 	entries, rows, evictions := s.reg.Stats()
 	ixCached, ixBuilds, ixEvictions := s.reg.IndexStats()
 	m := ServerMetrics{
-		UptimeNanos:        int64(time.Since(s.start)),
-		DatasetsRegistered: entries,
-		DatasetRows:        rows,
-		DatasetEvictions:   evictions,
-		IndexBuilds:        ixBuilds,
-		IndexCached:        ixCached,
-		IndexEvictions:     ixEvictions,
-		JobsSubmitted:      s.counters.jobsSubmitted.Load(),
-		JobsDone:           s.counters.jobsDone.Load(),
-		JobsFailed:         s.counters.jobsFailed.Load(),
-		JobsCanceled:       s.counters.jobsCanceled.Load(),
-		JobsRunning:        s.counters.jobsRunning.Load(),
-		QueueDepth:         s.mgr.QueueDepth(),
-		QueueCapacity:      s.opts.QueueDepth,
-		MineExecutions:     s.counters.mineExecutions.Load(),
-		CacheHits:          s.counters.cacheHits.Load(),
-		DedupHits:          s.counters.dedupHits.Load(),
-		ResultCacheEntries: s.cache.len(),
+		UptimeNanos:          int64(time.Since(s.start)),
+		DatasetsRegistered:   entries,
+		DatasetRows:          rows,
+		DatasetEvictions:     evictions,
+		IndexBuilds:          ixBuilds,
+		IndexCached:          ixCached,
+		IndexEvictions:       ixEvictions,
+		JobsSubmitted:        s.counters.jobsSubmitted.Load(),
+		JobsDone:             s.counters.jobsDone.Load(),
+		JobsFailed:           s.counters.jobsFailed.Load(),
+		JobsCanceled:         s.counters.jobsCanceled.Load(),
+		JobsRunning:          s.counters.jobsRunning.Load(),
+		QueueDepth:           s.mgr.QueueDepth(),
+		QueueCapacity:        s.opts.QueueDepth,
+		MineExecutions:       s.counters.mineExecutions.Load(),
+		CacheHits:            s.counters.cacheHits.Load(),
+		DedupHits:            s.counters.dedupHits.Load(),
+		ResultCacheEntries:   s.cache.len(),
+		Ready:                s.Ready(),
+		JobPanics:            s.counters.jobPanics.Load(),
+		ResultCacheEvictions: s.cache.evicted(),
 	}
 	if s.opts.Store != nil {
 		h := s.opts.Store.Health()

@@ -164,9 +164,9 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	var built bool
 	m.idx, built = bitmap.Shared(d)
 	if built {
-		m.rec.BitmapBuilds(m.idx.NumBitmaps())
+		m.rec.Add(metrics.BitmapBuilds, m.idx.NumBitmaps())
 	} else {
-		m.rec.BitmapIndexReuse()
+		m.rec.Add(metrics.BitmapIndexReuses, 1)
 	}
 	root := node{set: pattern.NewItemset(), bits: m.idx.All(), lastAttr: -1}
 	schedule := stats.NewBonferroniSchedule(cfg.Alpha)

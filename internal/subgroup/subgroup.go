@@ -127,9 +127,9 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	var built bool
 	m.idx, built = bitmap.Shared(d)
 	if built {
-		m.rec.BitmapBuilds(m.idx.NumBitmaps())
+		m.rec.Add(metrics.BitmapBuilds, m.idx.NumBitmaps())
 	} else {
-		m.rec.BitmapIndexReuse()
+		m.rec.Add(metrics.BitmapIndexReuses, 1)
 	}
 	m.condBits = make([]*bitmap.Set, len(m.conds))
 	list := topk.New(cfg.TopK, cfg.MinQuality).WithRecorder(cfg.Metrics).WithTracer(cfg.Trace)
