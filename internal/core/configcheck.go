@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
+	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
 )
 
@@ -96,19 +96,8 @@ func (c Config) CanonicalKey() string {
 	fmt.Fprintf(&b, "prune=%t,%t,%t,%t,%t,%t;",
 		p.MinDeviation, p.ExpectedCount, p.ChiSquareOE,
 		p.RedundancyCLT, p.PureSpace, p.LookupTable)
-	fmt.Fprintf(&b, "skipfilter=%t;recordexplored=%t;attrs=", c.SkipMeaningfulFilter, c.RecordExploredSpaces)
-	if c.Attrs == nil {
-		b.WriteString("all")
-	} else {
-		attrs := append([]int(nil), c.Attrs...)
-		sort.Ints(attrs)
-		for i, a := range attrs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", a)
-		}
-	}
+	fmt.Fprintf(&b, "skipfilter=%t;recordexplored=%t;attrs=%s",
+		c.SkipMeaningfulFilter, c.RecordExploredSpaces, dataset.AttrsKey(c.Attrs))
 	return b.String()
 }
 

@@ -3,6 +3,9 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Kind distinguishes categorical from continuous attributes.
@@ -92,6 +95,22 @@ func (d *Dataset) CategoricalAttrs() []int {
 		}
 	}
 	return out
+}
+
+// AttrsKey renders a miner's attribute restriction for its canonical
+// config key: the indices sorted and comma-joined, or "all" for nil (no
+// restriction).
+func AttrsKey(attrs []int) string {
+	if attrs == nil {
+		return "all"
+	}
+	sorted := slices.Clone(attrs)
+	slices.Sort(sorted)
+	parts := make([]string, len(sorted))
+	for i, a := range sorted {
+		parts[i] = strconv.Itoa(a)
+	}
+	return strings.Join(parts, ",")
 }
 
 // NumGroups returns the number of distinct groups.

@@ -304,3 +304,23 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind should include the code")
 	}
 }
+
+func TestAttrsKey(t *testing.T) {
+	attrs := []int{4, 0, 2}
+	for _, tc := range []struct {
+		attrs []int
+		want  string
+	}{
+		{nil, "all"},
+		{[]int{}, ""},
+		{[]int{3}, "3"},
+		{attrs, "0,2,4"},
+	} {
+		if got := AttrsKey(tc.attrs); got != tc.want {
+			t.Errorf("AttrsKey(%v) = %q, want %q", tc.attrs, got, tc.want)
+		}
+	}
+	if attrs[0] != 4 || attrs[1] != 0 || attrs[2] != 2 {
+		t.Errorf("AttrsKey sorted its argument in place: %v", attrs)
+	}
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"sdadcs/internal/core"
 	"sdadcs/internal/dataset"
@@ -36,27 +35,30 @@ func (c Config) stuccoConfig() stucco.Config {
 	}
 }
 
-// stuccoKey is the canonical-key fragment of the shared categorical
-// search, defaults resolved as stucco.Config does.
-func stuccoKey(c Config) string {
-	alpha, delta, depth, topk := c.Alpha, c.Delta, c.MaxDepth, c.TopK
-	if alpha == 0 {
-		alpha = 0.05
+// mvdConfig maps the shared and MVD fields onto the discretizer's config.
+func (c Config) mvdConfig() mvd.Config {
+	return mvd.Config{
+		Alpha:     c.Alpha,
+		BinSize:   c.BinSize,
+		MaxSweeps: c.MaxSweeps,
 	}
-	if delta == 0 {
-		delta = 0.1
+}
+
+// subgroupConfig maps the shared and subgroup fields onto the beam
+// search's config.
+func (c Config) subgroupConfig() subgroup.Config {
+	return subgroup.Config{
+		BeamWidth:   c.BeamWidth,
+		Depth:       c.MaxDepth,
+		Bins:        c.Bins,
+		TopK:        c.TopK,
+		MinCoverage: c.MinCoverage,
+		MinQuality:  c.MinQuality,
+		Measure:     c.Measure,
+		Workers:     c.Workers,
+		Metrics:     c.Metrics,
+		Trace:       c.Trace,
 	}
-	if depth == 0 {
-		depth = 5
-	}
-	if topk == 0 {
-		topk = 100
-	}
-	if topk == TopKUnbounded {
-		topk = 0
-	}
-	return fmt.Sprintf("alpha=%.17g;delta=%.17g;depth=%d;topk=%d;measure=%s;attrs=%s",
-		alpha, delta, depth, topk, c.Measure, attrsKey(c.Attrs))
 }
 
 // sdadcsMiner adapts the paper's own search (internal/core).
@@ -104,7 +106,7 @@ func (stuccoMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (Re
 }
 
 func (stuccoMiner) CanonicalKey(cfg Config) string {
-	return "algorithm=stucco;" + stuccoKey(cfg)
+	return "algorithm=stucco;" + cfg.stuccoConfig().CanonicalKey()
 }
 
 // mvdMiner adapts MVD discretization feeding the shared categorical
@@ -117,11 +119,7 @@ func (mvdMiner) Description() string {
 }
 
 func (mvdMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, error) {
-	disc := mvd.DiscretizeDataset(d, mvd.Config{
-		Alpha:     cfg.Alpha,
-		BinSize:   cfg.BinSize,
-		MaxSweeps: cfg.MaxSweeps,
-	})
+	disc := mvd.DiscretizeDataset(d, cfg.mvdConfig())
 	binned := dataset.Discretized(d, disc.Cuts)
 	res, err := stucco.MineContext(ctx, binned, cfg.stuccoConfig())
 	out := Result{
@@ -138,14 +136,7 @@ func (mvdMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (Resul
 }
 
 func (mvdMiner) CanonicalKey(cfg Config) string {
-	binSize, maxSweeps := cfg.BinSize, cfg.MaxSweeps
-	if binSize == 0 {
-		binSize = 100
-	}
-	if maxSweeps == 0 {
-		maxSweeps = 50
-	}
-	return fmt.Sprintf("algorithm=mvd;binsize=%d;maxsweeps=%d;%s", binSize, maxSweeps, stuccoKey(cfg))
+	return "algorithm=mvd;" + cfg.mvdConfig().BinningKey() + ";" + cfg.stuccoConfig().CanonicalKey()
 }
 
 // entropyMiner adapts entropy/MDLP discretization feeding the shared
@@ -176,7 +167,7 @@ func (entropyMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (R
 
 func (entropyMiner) CanonicalKey(cfg Config) string {
 	// The MDLP pass has no knobs; the key is the downstream search's.
-	return "algorithm=entropy;" + stuccoKey(cfg)
+	return "algorithm=entropy;" + cfg.stuccoConfig().CanonicalKey()
 }
 
 // subgroupMiner adapts Cortana-style subgroup discovery.
@@ -188,18 +179,7 @@ func (subgroupMiner) Description() string {
 }
 
 func (subgroupMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, error) {
-	res, err := subgroup.MineContext(ctx, d, subgroup.Config{
-		BeamWidth:   cfg.BeamWidth,
-		Depth:       cfg.MaxDepth,
-		Bins:        cfg.Bins,
-		TopK:        cfg.TopK,
-		MinCoverage: cfg.MinCoverage,
-		MinQuality:  cfg.MinQuality,
-		Measure:     cfg.Measure,
-		Workers:     cfg.Workers,
-		Metrics:     cfg.Metrics,
-		Trace:       cfg.Trace,
-	})
+	res, err := subgroup.MineContext(ctx, d, cfg.subgroupConfig())
 	out := Result{
 		Contrasts: res.Contrasts,
 		Stats:     core.Stats{PartitionsEvaluated: res.Evaluated},
@@ -209,28 +189,5 @@ func (subgroupMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (
 }
 
 func (subgroupMiner) CanonicalKey(cfg Config) string {
-	beam, depth, bins, topk, cov, qual := cfg.BeamWidth, cfg.MaxDepth, cfg.Bins, cfg.TopK, cfg.MinCoverage, cfg.MinQuality
-	if beam == 0 {
-		beam = 100
-	}
-	if depth == 0 {
-		depth = 2
-	}
-	if bins == 0 {
-		bins = 8
-	}
-	if topk == 0 {
-		topk = 100
-	}
-	if topk == TopKUnbounded {
-		topk = 0
-	}
-	if cov == 0 {
-		cov = 2
-	}
-	if qual == 0 {
-		qual = 0.01
-	}
-	return fmt.Sprintf("algorithm=subgroup;beam=%d;depth=%d;bins=%d;topk=%d;mincoverage=%d;minquality=%.17g;measure=%s",
-		beam, depth, bins, topk, cov, qual, cfg.Measure)
+	return "algorithm=subgroup;" + cfg.subgroupConfig().CanonicalKey()
 }

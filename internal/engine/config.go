@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 
@@ -150,26 +149,4 @@ func (c Config) CanonicalKey() string {
 func (c Config) CanonicalHash() string {
 	sum := sha256.Sum256([]byte(c.CanonicalKey()))
 	return hex.EncodeToString(sum[:16])
-}
-
-// attrsKey renders the Attrs restriction for canonical keys (sorted;
-// "all" for nil), matching core.Config.CanonicalKey's convention.
-func attrsKey(attrs []int) string {
-	if attrs == nil {
-		return "all"
-	}
-	sorted := append([]int(nil), attrs...)
-	for i := 1; i < len(sorted); i++ { // insertion sort; attr lists are tiny
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	var b strings.Builder
-	for i, a := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", a)
-	}
-	return b.String()
 }

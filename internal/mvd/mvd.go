@@ -9,6 +9,7 @@
 package mvd
 
 import (
+	"fmt"
 	"sort"
 
 	"sdadcs/internal/dataset"
@@ -39,6 +40,15 @@ func (c *Config) defaults() {
 	if c.MaxSweeps == 0 {
 		c.MaxSweeps = 50
 	}
+}
+
+// BinningKey serializes the binning knobs with defaults resolved, for a
+// canonical config key. Alpha is left out: a pipeline that shares one
+// significance level between discretization and search renders it once,
+// in the search's key.
+func (c Config) BinningKey() string {
+	c.defaults()
+	return fmt.Sprintf("binsize=%d;maxsweeps=%d", c.BinSize, c.MaxSweeps)
 }
 
 // Result reports the discretization and the work done.

@@ -21,6 +21,7 @@ package stucco
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,6 +90,15 @@ func (c *Config) defaults() {
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
+}
+
+// CanonicalKey serializes the result-affecting fields with defaults
+// resolved, in a fixed order. Workers and the observability sinks are
+// left out: they never change the result.
+func (c Config) CanonicalKey() string {
+	c.defaults()
+	return fmt.Sprintf("alpha=%.17g;delta=%.17g;depth=%d;topk=%d;measure=%s;attrs=%s",
+		c.Alpha, c.Delta, c.MaxDepth, c.TopK, c.Measure, dataset.AttrsKey(c.Attrs))
 }
 
 // Result carries the mined contrasts and search statistics.

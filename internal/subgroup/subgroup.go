@@ -16,6 +16,7 @@ package subgroup
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -96,6 +97,15 @@ func (c *Config) defaults() {
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
+}
+
+// CanonicalKey serializes the result-affecting fields with defaults
+// resolved, in a fixed order. Workers and the observability sinks are
+// left out: they never change the result.
+func (c Config) CanonicalKey() string {
+	c.defaults()
+	return fmt.Sprintf("beam=%d;depth=%d;bins=%d;topk=%d;mincoverage=%d;minquality=%.17g;measure=%s",
+		c.BeamWidth, c.Depth, c.Bins, c.TopK, c.MinCoverage, c.MinQuality, c.Measure)
 }
 
 // Result carries the pooled contrasts and the number of subgroup
