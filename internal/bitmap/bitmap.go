@@ -31,27 +31,6 @@ func (s *Set) Add(i int) {
 	s.words[i>>6] |= 1 << uint(i&63)
 }
 
-// Flip toggles row i by XOR — the delta-maintenance primitive: XOR-ing a
-// row in when it arrives and XOR-ing it out when it leaves keeps a bitmap
-// equal to a from-scratch rebuild without ever scanning the column.
-func (s *Set) Flip(i int) {
-	s.words[i>>6] ^= 1 << uint(i&63)
-}
-
-// Equal reports whether two sets have the same universe and identical
-// bits — the bit-identity check the incremental-index tests assert.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether row i is present.
 func (s *Set) Contains(i int) bool {
 	return s.words[i>>6]&(1<<uint(i&63)) != 0
@@ -137,25 +116,13 @@ func (s *Set) AppendRows(dst []int) []int {
 	return dst
 }
 
-// ForEach calls fn for every set bit in ascending row order.
-func (s *Set) ForEach(fn func(row int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi<<6 + b)
-			w &= w - 1
-		}
-	}
-}
-
 // Index holds one bitmap per categorical value and per group of a dataset.
 //
 // Invariant: the group masks partition the universe — every row 0..n-1 is
 // in exactly one group mask — and every bitmap's padding bits (positions n
 // and above in the last word) are zero. The two-group counting kernel
 // relies on both: a cover's group-1 count is its total minus its group-0
-// count. NewIndex and DeltaIndex.Materialize both build indexes that hold
-// it.
+// count. NewIndex, the only constructor, builds indexes that hold it.
 type Index struct {
 	n int
 	// values[attr][code] is the rows where the categorical attribute has

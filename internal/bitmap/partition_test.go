@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"sdadcs/internal/dataset"
 )
 
 // checkPartition asserts the Index invariant the two-group kernel relies
@@ -44,54 +42,6 @@ func TestNewIndexPartitionsUniverse(t *testing.T) {
 		for _, rows := range []int{2, 7, 63, 65, 130, 1001} {
 			d := kernelDataset(rng, rows, 5, groups)
 			checkPartition(t, NewIndex(d), fmt.Sprintf("NewIndex groups=%d rows=%d", groups, rows))
-		}
-	}
-}
-
-// TestMaterializePartitionsUniverse checks DeltaIndex.Materialize
-// snapshots both while the window fills (identity mapping) and after it
-// wraps (rotation, with evicted rows' bits flipped out).
-func TestMaterializePartitionsUniverse(t *testing.T) {
-	const window = 41 // not a multiple of 64: partial last word
-	catVals := []string{"a", "b", "c"}
-	for _, groups := range [][]string{{"g0", "g1"}, {"g0", "g1", "g2"}} {
-		rng := rand.New(rand.NewSource(int64(len(groups))))
-		di := NewDeltaIndex(window, 1)
-		ringCat := make([]string, window)
-		ringGrp := make([]string, window)
-		start, count, wrapped := 0, 0, 0
-		for step := 0; step < 3*window; step++ {
-			pos := (start + count) % window
-			had := count == window
-			if had {
-				start = (start + 1) % window
-			} else {
-				count++
-			}
-			v := catVals[rng.Intn(len(catVals))]
-			di.UpdateCat(0, pos, ringCat[pos], v, had)
-			ringCat[pos] = v
-			g := groups[rng.Intn(len(groups))]
-			di.UpdateGroup(pos, ringGrp[pos], g, had)
-			ringGrp[pos] = g
-
-			cat, grp := make([]string, count), make([]string, count)
-			for i := range cat {
-				p := (start + i) % window
-				cat[i], grp[i] = ringCat[p], ringGrp[p]
-			}
-			d, err := dataset.NewBuilder("ring").AddCategorical("c0", cat).SetGroups(grp).Build()
-			if err != nil {
-				continue // single group in the window: not mineable
-			}
-			if had {
-				wrapped++
-			}
-			checkPartition(t, di.Materialize(d, start, count, []int{0}),
-				fmt.Sprintf("Materialize groups=%d step=%d count=%d start=%d", len(groups), step, count, start))
-		}
-		if wrapped == 0 {
-			t.Fatalf("groups=%d: no snapshot after the window wrapped", len(groups))
 		}
 	}
 }

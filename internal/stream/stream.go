@@ -18,7 +18,6 @@ import (
 	"math"
 	"time"
 
-	"sdadcs/internal/bitmap"
 	"sdadcs/internal/core"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
@@ -38,9 +37,13 @@ type Schema struct {
 	Categorical []string
 }
 
+// DefaultWindowSize is the window a zero Config.WindowSize selects.
+const DefaultWindowSize = 2000
+
 // Config controls the monitor.
 type Config struct {
-	// WindowSize is the number of most recent rows mined (default 2000).
+	// WindowSize is the number of most recent rows mined (default
+	// DefaultWindowSize).
 	WindowSize int
 	// MineEvery triggers a re-mine after this many appended rows
 	// (default WindowSize/4).
@@ -60,7 +63,7 @@ type Config struct {
 
 func (c *Config) defaults() {
 	if c.WindowSize == 0 {
-		c.WindowSize = 2000
+		c.WindowSize = DefaultWindowSize
 	}
 	if c.MineEvery == 0 {
 		c.MineEvery = c.WindowSize / 4
@@ -120,7 +123,7 @@ func (c Config) Validate() error {
 		// it is rejected as actively malformed rather than defaulted.
 		win := c.WindowSize
 		if win == 0 {
-			win = 2000
+			win = DefaultWindowSize
 		}
 		if c.MineEvery > win {
 			bad("MineEvery", c.MineEvery,
@@ -195,29 +198,6 @@ type Monitor struct {
 	curData   *dataset.Dataset
 	mines     int
 	skipped   int
-
-	// delta is the incrementally-maintained bitmap index over ring
-	// positions: Append XOR-flips the departing and arriving rows' bits,
-	// and remine materializes it into the snapshot's code space instead of
-	// rebuilding per-value bitmaps from scratch.
-	delta *bitmap.DeltaIndex
-
-	// snapBufs are the double-buffered snapshot scratch columns. remine
-	// alternates between the two so the previous snapshot dataset — which
-	// diff still reads via curData — is never overwritten while in use;
-	// only two snapshots are ever live at once. The public Snapshot method
-	// still allocates fresh copies (callers may retain them).
-	snapBufs [2]snapBuf
-	snapCur  int
-	encIdx   map[string]int // reused string→code scratch, cleared per column
-}
-
-// snapBuf holds one generation of snapshot scratch: per-column backing
-// arrays of capacity WindowSize that snapshots slice to the live count.
-type snapBuf struct {
-	cont [][]float64
-	cat  [][]int
-	grp  []int
 }
 
 // NewMonitor builds a monitor for the schema. A malformed configuration
@@ -234,7 +214,6 @@ func NewMonitor(schema Schema, cfg Config) (*Monitor, error) {
 		cont:   make([][]float64, len(schema.Continuous)),
 		cat:    make([][]string, len(schema.Categorical)),
 		groups: make([]string, cfg.WindowSize),
-		delta:  bitmap.NewDeltaIndex(cfg.WindowSize, len(schema.Categorical)),
 	}
 	for i := range m.cont {
 		m.cont[i] = make([]float64, cfg.WindowSize)
@@ -242,18 +221,6 @@ func NewMonitor(schema Schema, cfg Config) (*Monitor, error) {
 	for i := range m.cat {
 		m.cat[i] = make([]string, cfg.WindowSize)
 	}
-	for b := range m.snapBufs {
-		m.snapBufs[b].cont = make([][]float64, len(schema.Continuous))
-		m.snapBufs[b].cat = make([][]int, len(schema.Categorical))
-		for i := range m.snapBufs[b].cont {
-			m.snapBufs[b].cont[i] = make([]float64, cfg.WindowSize)
-		}
-		for i := range m.snapBufs[b].cat {
-			m.snapBufs[b].cat[i] = make([]int, cfg.WindowSize)
-		}
-		m.snapBufs[b].grp = make([]int, cfg.WindowSize)
-	}
-	m.encIdx = make(map[string]int)
 	return m, nil
 }
 
@@ -279,8 +246,7 @@ func (m *Monitor) Append(cont []float64, cat []string, group string) ([]Event, e
 			len(cont), len(cat), len(m.schema.Continuous), len(m.schema.Categorical))
 	}
 	pos := (m.start + m.count) % m.cfg.WindowSize
-	had := m.count == m.cfg.WindowSize // pos holds the row being evicted
-	if had {
+	if m.count == m.cfg.WindowSize { // pos holds the row being evicted
 		m.start = (m.start + 1) % m.cfg.WindowSize // evict oldest
 	} else {
 		m.count++
@@ -289,10 +255,8 @@ func (m *Monitor) Append(cont []float64, cat []string, group string) ([]Event, e
 		m.cont[i][pos] = v
 	}
 	for i, v := range cat {
-		m.delta.UpdateCat(i, pos, m.cat[i][pos], v, had)
 		m.cat[i][pos] = v
 	}
-	m.delta.UpdateGroup(pos, m.groups[pos], group, had)
 	m.groups[pos] = group
 
 	m.sinceMine++
@@ -308,107 +272,52 @@ func (m *Monitor) Append(cont []float64, cat []string, group string) ([]Event, e
 	return m.remine()
 }
 
-// Snapshot materializes the current window as a dataset. It returns nil
-// when the window holds fewer than two groups (mining is undefined).
+// Snapshot copies the window's rows, in arrival order, into a fresh
+// dataset; it is the only way a window becomes one, and the re-mine mines
+// it. Categorical and group values are coded in first-appearance order,
+// the coding dataset.Builder gives string columns, so the dataset equals
+// one built from the same rows by AddCategorical and SetGroups. It
+// returns nil when the window is empty or cannot be built — fewer than
+// two groups (mining is undefined) or an infinite reading.
 func (m *Monitor) Snapshot() *dataset.Dataset {
 	if m.count == 0 {
 		return nil
 	}
 	b := dataset.NewBuilder(m.schema.Name)
-	ordered := func(col []float64) []float64 {
-		out := make([]float64, m.count)
-		for i := 0; i < m.count; i++ {
-			out[i] = col[(m.start+i)%m.cfg.WindowSize]
-		}
-		return out
-	}
-	orderedS := func(col []string) []string {
-		out := make([]string, m.count)
-		for i := 0; i < m.count; i++ {
-			out[i] = col[(m.start+i)%m.cfg.WindowSize]
-		}
-		return out
-	}
 	for i, name := range m.schema.Continuous {
-		b.AddContinuous(name, ordered(m.cont[i]))
+		col := make([]float64, m.count)
+		for r := range col {
+			col[r] = m.cont[i][(m.start+r)%m.cfg.WindowSize]
+		}
+		b.AddContinuous(name, col)
+	}
+	seen := make(map[string]int)
+	encode := func(ring []string) ([]int, []string) {
+		clear(seen)
+		codes := make([]int, m.count)
+		var domain []string
+		for r := range codes {
+			v := ring[(m.start+r)%m.cfg.WindowSize]
+			c, ok := seen[v]
+			if !ok {
+				c = len(domain)
+				seen[v] = c
+				domain = append(domain, v)
+			}
+			codes[r] = c
+		}
+		return codes, domain
 	}
 	for i, name := range m.schema.Categorical {
-		b.AddCategorical(name, orderedS(m.cat[i]))
-	}
-	b.SetGroups(orderedS(m.groups))
-	d, err := b.Build()
-	if err != nil {
-		return nil // e.g. a single group in the window
-	}
-	return d
-}
-
-// encodeInto writes first-appearance-order domain codes for the window's
-// rows of ring column col into codes (scratch, sliced to count) and
-// returns the codes plus the freshly-built domain. The scratch map is
-// cleared and reused across columns; the domain is allocated fresh every
-// snapshot — it is retained by the dataset, and its size tracks distinct
-// values, not the window. The coding matches dataset.Builder's encode
-// exactly, so buffered snapshots are bit-identical to Snapshot's.
-func (m *Monitor) encodeInto(col []string, codes []int) ([]int, []string) {
-	clear(m.encIdx)
-	var domain []string
-	out := codes[:m.count]
-	for i := 0; i < m.count; i++ {
-		v := col[(m.start+i)%m.cfg.WindowSize]
-		c, ok := m.encIdx[v]
-		if !ok {
-			c = len(domain)
-			m.encIdx[v] = c
-			domain = append(domain, v)
-		}
-		out[i] = c
-	}
-	return out, domain
-}
-
-// snapshotBuffered materializes the window into the next scratch buffer
-// generation instead of allocating fresh columns — the per-re-mine
-// allocation cost stops scaling with window size (only domains and the
-// dataset shell are allocated). The previous snapshot, still referenced
-// by curData for diffing, lives in the other buffer and stays intact.
-func (m *Monitor) snapshotBuffered() *dataset.Dataset {
-	if m.count == 0 {
-		return nil
-	}
-	buf := &m.snapBufs[m.snapCur]
-	m.snapCur = 1 - m.snapCur
-	b := dataset.NewBuilder(m.schema.Name)
-	for i, name := range m.schema.Continuous {
-		out := buf.cont[i][:m.count]
-		for r := 0; r < m.count; r++ {
-			out[r] = m.cont[i][(m.start+r)%m.cfg.WindowSize]
-		}
-		b.AddContinuous(name, out)
-	}
-	for i, name := range m.schema.Categorical {
-		codes, domain := m.encodeInto(m.cat[i], buf.cat[i])
+		codes, domain := encode(m.cat[i])
 		b.AddCategoricalCoded(name, codes, domain)
 	}
-	gcodes, gnames := m.encodeInto(m.groups, buf.grp)
-	b.SetGroupsCoded(gcodes, gnames)
+	b.SetGroupsCoded(encode(m.groups))
 	d, err := b.Build()
 	if err != nil {
-		m.snapCur = 1 - m.snapCur // nothing retained the buffer; reuse it
 		return nil
 	}
 	return d
-}
-
-// catAttrs returns the snapshot attribute index of each delta-tracked
-// categorical column: builders add the continuous columns first, so
-// categorical column i lands at attribute len(Continuous)+i.
-func (m *Monitor) catAttrs() []int {
-	out := make([]int, len(m.schema.Categorical))
-	for i := range out {
-		out[i] = len(m.schema.Continuous) + i
-	}
-	return out
 }
 
 // Current returns the patterns of the latest snapshot.
@@ -423,17 +332,11 @@ func (m *Monitor) CurrentData() *dataset.Dataset { return m.curData }
 // that cannot be mined surfaces ErrWindowNotMineable (and bumps the
 // skipped-mine stat) instead of silently reporting "no changes".
 func (m *Monitor) remine() ([]Event, error) {
-	d := m.snapshotBuffered()
+	d := m.Snapshot()
 	if d == nil {
 		m.skipped++
 		return nil, ErrWindowNotMineable
 	}
-	// Seed the snapshot's index slot with the delta-maintained index —
-	// bit-identical to the rebuild bitmap.Shared would otherwise pay for —
-	// so the mining engine finds it already built.
-	d.Index().LoadOrBuild(func() any {
-		return m.delta.Materialize(d, m.start, m.count, m.catAttrs())
-	})
 	rec := m.cfg.Mining.Metrics
 	tr := m.cfg.Mining.Trace
 	var start time.Time

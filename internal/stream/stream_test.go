@@ -541,9 +541,9 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN event floor", Config{MinEventScore: math.NaN()}, "MinEventScore"},
 		{"cadence exceeds window", Config{WindowSize: 100, MineEvery: 101}, "MineEvery"},
 		{"cadence exceeds tiny window", Config{WindowSize: 2, MineEvery: 3}, "MineEvery"},
-		{"cadence exceeds defaulted window", Config{MineEvery: 2001}, "MineEvery"},
+		{"cadence exceeds defaulted window", Config{WindowSize: 0, MineEvery: 2001}, "MineEvery"},
 		{"cadence equals window", Config{WindowSize: 100, MineEvery: 100}, ""},
-		{"cadence equals defaulted window", Config{MineEvery: 2000}, ""},
+		{"cadence equals defaulted window", Config{WindowSize: 0, MineEvery: 2000}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -568,6 +568,22 @@ func TestConfigValidate(t *testing.T) {
 				t.Errorf("message %q does not name the field %q", err, tc.field)
 			}
 		})
+	}
+}
+
+// TestDefaultWindowSize: the window a zero WindowSize selects is the one
+// Validate bounds the cadence by, and it is the documented 2000 rows.
+func TestDefaultWindowSize(t *testing.T) {
+	cfg := Config{}
+	cfg.defaults()
+	if cfg.WindowSize != DefaultWindowSize || DefaultWindowSize != 2000 {
+		t.Fatalf("zero WindowSize resolves to %d, DefaultWindowSize = %d, want 2000", cfg.WindowSize, DefaultWindowSize)
+	}
+	if err := (Config{MineEvery: cfg.WindowSize}).Validate(); err != nil {
+		t.Errorf("cadence equal to the default window rejected: %v", err)
+	}
+	if err := (Config{MineEvery: cfg.WindowSize + 1}).Validate(); err == nil {
+		t.Error("cadence past the default window accepted")
 	}
 }
 
