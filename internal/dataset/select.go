@@ -14,7 +14,9 @@ import (
 // vals is reordered in place: NaN values are compacted away and the rest
 // partially ordered by quickselect, so one call costs expected O(len(vals))
 // instead of a sort. The element returned is the one a full ascending sort
-// of the non-NaN values would put at that index.
+// of the non-NaN values would put at that index, except that a zero is
+// always +0: −0 and +0 compare equal, so which of them lands at the index
+// would otherwise depend on the order of vals.
 func QuantileInPlace(vals []float64, q float64) float64 {
 	finite := vals[:0]
 	for _, x := range vals {
@@ -33,7 +35,10 @@ func QuantileInPlace(vals []float64, q float64) float64 {
 	case q > 0:
 		k = int(q * float64(m-1))
 	}
-	return selectKth(finite, k)
+	if v := selectKth(finite, k); v != 0 {
+		return v
+	}
+	return 0
 }
 
 // selectKth reorders a (NaN-free) so that a[k] holds the element an

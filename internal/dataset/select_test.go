@@ -125,6 +125,24 @@ func TestQuantileInPlaceEmpty(t *testing.T) {
 	}
 }
 
+// TestQuantileInPlaceZeroIsPositive: a zero quantile is +0 whichever of
+// −0 and +0 the selection lands on, so the printed cut does not depend on
+// the order of the values.
+func TestQuantileInPlaceZeroIsPositive(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, vals := range [][]float64{
+		{negZero, 0, negZero},
+		{0, negZero, 0},
+		{negZero, negZero, 1},
+		{-1, negZero, 0, 1},
+	} {
+		work := append([]float64(nil), vals...)
+		if got := QuantileInPlace(work, 0.5); got != 0 || math.Signbit(got) {
+			t.Errorf("median of %v = %v (signbit %v), want +0", vals, got, math.Signbit(got))
+		}
+	}
+}
+
 // TestViewQuantileEqualsSort pins View.Quantile, which delegates to the
 // selection helper, to the sort-based reference on full and restricted
 // views of a NaN-laden, tie-heavy column.

@@ -568,7 +568,8 @@ func subgroupRefDefaults(cfg subgroup.Config) subgroup.Config {
 }
 
 // quantileRef transliterates dataset.View.Quantile over the full dataset:
-// finite values sorted, lower element at index int(q·(n−1)).
+// finite values sorted, lower element at index int(q·(n−1)), a zero
+// always +0.
 func quantileRef(d *dataset.Dataset, attr int, q float64) float64 {
 	var vals []float64
 	for _, x := range d.ContColumn(attr) {
@@ -580,13 +581,19 @@ func quantileRef(d *dataset.Dataset, attr int, q float64) float64 {
 		return 0
 	}
 	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
+	var v float64
+	switch {
+	case q <= 0:
+		v = vals[0]
+	case q >= 1:
+		v = vals[len(vals)-1]
+	default:
+		v = vals[int(q*float64(len(vals)-1))]
 	}
-	if q >= 1 {
-		return vals[len(vals)-1]
+	if v == 0 {
+		return 0
 	}
-	return vals[int(q*float64(len(vals)-1))]
+	return v
 }
 
 // conditionsRef transliterates the production condition enumeration:

@@ -34,6 +34,10 @@ const (
 	// maximal ties, the case the paper-mode optimistic estimate is
 	// documented to over-prune and the conservative mode must survive.
 	ShapeTiedGrid
+	// ShapeSignedZero mixes −0 and +0 into every continuous column beside
+	// uniform values, so medians land on a zero whose sign must not depend
+	// on the order the values are visited in.
+	ShapeSignedZero
 
 	numShapes
 )
@@ -51,6 +55,8 @@ func (s Shape) String() string {
 		return "duplicate-heavy"
 	case ShapeTiedGrid:
 		return "tied-grid"
+	case ShapeSignedZero:
+		return "signed-zero"
 	default:
 		return fmt.Sprintf("Shape(%d)", int(s))
 	}
@@ -156,6 +162,15 @@ func GenerateShape(seed int64, shape Shape) *dataset.Dataset {
 				vals[i] = protoCont[proto[i]][a]
 			case ShapeTiedGrid:
 				vals[i] = float64(rng.Intn(4))
+			case ShapeSignedZero:
+				switch rng.Intn(3) {
+				case 0:
+					vals[i] = math.Copysign(0, -1)
+				case 1:
+					vals[i] = 0
+				default:
+					vals[i] = rng.Float64()*2 - 1
+				}
 			default:
 				// Integer-ish values with a group-dependent shift force
 				// ties at medians while planting real contrasts.

@@ -540,8 +540,13 @@ func medianAndMax(d *dataset.Dataset, attr int, rows []int) (med, max float64, a
 	sort.Float64s(vals)
 	// Lower-middle element: for even n the element at (n−1)/2, so a split
 	// at the median always leaves at least one row strictly above it when
-	// two distinct values exist.
-	return vals[(len(vals)-1)/2], vals[len(vals)-1], true
+	// two distinct values exist. A zero median is +0, whichever of −0 and
+	// +0 the sort put there.
+	med = vals[(len(vals)-1)/2]
+	if med == 0 {
+		med = 0
+	}
+	return med, vals[len(vals)-1], true
 }
 
 // merge is the bottom-up part of Algorithm 1 in its plainest possible

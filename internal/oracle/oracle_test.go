@@ -85,7 +85,7 @@ func TestOracleMetamorphic(t *testing.T) {
 // the degenerate windows where pruning-heavy miners historically hide
 // bugs must still agree with the oracle exactly and soundly.
 func TestOracleAdversarialShapes(t *testing.T) {
-	shapes := []Shape{ShapeOneGroupDominant, ShapeConstantColumn, ShapeDuplicateHeavy, ShapeTiedGrid}
+	shapes := []Shape{ShapeOneGroupDominant, ShapeConstantColumn, ShapeDuplicateHeavy, ShapeTiedGrid, ShapeSignedZero}
 	for _, shape := range shapes {
 		shape := shape
 		t.Run(shape.String(), func(t *testing.T) {
