@@ -362,11 +362,15 @@ func (m *miner) processLevel(level int, frontier []node, schedule *stats.Bonferr
 		for _, c := range o.contrasts {
 			m.list.Add(c)
 		}
-		if o.record {
-			m.table.insert(frontier[i].catSet)
-		}
-		for _, set := range o.inserts {
-			m.table.insert(set)
+		// Only later levels read the lookup table, so the last level's
+		// inserts would be dead work.
+		if level < m.cfg.MaxDepth {
+			if o.record {
+				m.table.insert(frontier[i].catSet)
+			}
+			for _, set := range o.inserts {
+				m.table.insert(set)
+			}
 		}
 		if o.survived {
 			surviving++
