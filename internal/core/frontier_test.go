@@ -97,7 +97,7 @@ func TestCoversMaterializeOnlyForParents(t *testing.T) {
 		if c.absent(2) {
 			continue
 		}
-		o := m.evaluate(2, 0, c, cfg.Alpha, chiSquareCrit(cfg.Alpha, 2), 0)
+		o := m.evaluate(2, 0, c, cfg.Alpha, ChiSquareCrit(cfg.Alpha, 2), 0)
 		if !o.survived || o.cover != nil {
 			t.Errorf("%s at MaxDepth: survived=%t cover=%v, want a survivor with no cover",
 				c.catSet.Key(), o.survived, o.cover)

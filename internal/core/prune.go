@@ -75,36 +75,40 @@ func subsetKey(set pattern.Itemset, mask int) string {
 	return pattern.NewItemset(items...).Key()
 }
 
-// pruneDecision is the outcome of the §4.3 rules for one space.
-type pruneDecision struct {
-	// skipContrast: the space cannot be (or should not be reported as) a
+// PruneDecision is the outcome of the §4.3 rules for one space.
+type PruneDecision struct {
+	// SkipContrast: the space cannot be (or should not be reported as) a
 	// contrast.
-	skipContrast bool
-	// skipChildren: do not explore specializations of the space.
-	skipChildren bool
-	// record: insert the space's key into the lookup table so later
+	SkipContrast bool
+	// SkipChildren: do not explore specializations of the space.
+	SkipChildren bool
+	// Record: insert the space's key into the lookup table so later
 	// combinations with this space as a subset are cut.
-	record bool
+	Record bool
 }
 
-// evaluatePruning applies the pruning rules to a counted space.
+// EvaluatePruning applies the pruning rules p enables to a counted space.
+// It is the one implementation of the rules: the levelwise miner, SDAD-CS
+// and the STUCCO baseline (MinDeviation, ExpectedCount and ChiSquareOE
+// only) all decide through it.
 //
 // crit is the χ² critical value at the level's α with one degree of
 // freedom per group beyond the first — constant across a level, so the
-// caller computes it once (chiSquareCrit) instead of once per space.
+// caller computes it once (ChiSquareCrit) instead of once per space.
 // sup holds the space's per-group supports; set its itemset. The CLT
 // redundancy rule compares the space's support difference against each
 // subset obtained by dropping one item (Eq. 14–16); subset supports are
-// provided by the memoizing suppOf callback. rec (nil = disabled) counts
+// provided by the memoizing suppOf callback, which may be nil when
+// RedundancyCLT is off. rec (nil = disabled) counts
 // which rule fired; tr (nil = disabled) additionally records the decision
 // itself — which rule, at what observed statistic, against which bound.
 // Both sinks are safe for concurrent use, so this function stays callable
 // from parallel per-level workers; level/worker only annotate trace
 // events.
-func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
+func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	delta, alpha, crit float64, totalRows int,
 	suppOf func(pattern.Itemset) pattern.Supports,
-	rec *metrics.Recorder, tr *trace.Tracer, level, worker int) pruneDecision {
+	rec *metrics.Recorder, tr *trace.Tracer, level, worker int) PruneDecision {
 
 	// Minimum deviation size: no group reaches δ, so neither this space
 	// nor any specialization can be a large contrast.
@@ -114,7 +118,7 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 			tr.Prune(level, worker, set.Key(), metrics.PruneMinDeviation.String(),
 				maxSupport(sup), delta)
 		}
-		return pruneDecision{skipContrast: true, skipChildren: true, record: true}
+		return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
 	}
 	// Expected count: statistical tests are invalid below an expected
 	// cell count of 5, and specializations only shrink counts.
@@ -124,7 +128,7 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 			if tr.Enabled() {
 				tr.Prune(level, worker, set.Key(), metrics.PruneExpectedCount.String(), min, 5)
 			}
-			return pruneDecision{skipContrast: true, skipChildren: true, record: true}
+			return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
 		}
 	}
 	// CLT redundancy: the support difference is statistically the same as
@@ -137,10 +141,10 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 					metrics.PruneRedundancyCLT.String()+":"+det.subset.Key(),
 					det.diff, det.half)
 			}
-			return pruneDecision{skipContrast: true, skipChildren: true, record: true}
+			return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
 		}
 	}
-	var d pruneDecision
+	var d PruneDecision
 	// Pure space: PR = 1 means one group is absent; the space itself is a
 	// fine contrast but adding attributes only produces redundant ones.
 	if p.PureSpace && sup.PR() >= 1 && sup.TotalCount() > 0 {
@@ -148,28 +152,28 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 		if tr.Enabled() {
 			tr.Prune(level, worker, set.Key(), metrics.PrunePureSpace.String(), sup.PR(), 1)
 		}
-		d.skipChildren = true
-		d.record = true
+		d.SkipChildren = true
+		d.Record = true
 	}
 	// Chi-square optimistic estimate: if no specialization can reach the
 	// critical value at the current α, children cannot be significant.
-	if p.ChiSquareOE && !d.skipChildren {
+	if p.ChiSquareOE && !d.SkipChildren {
 		bound := stats.ChiSquareOptimistic(sup.Count, sup.Size)
 		if bound < crit {
 			rec.PruneHit(metrics.PruneChiSquareOE)
 			if tr.Enabled() {
 				tr.Prune(level, worker, set.Key(), metrics.PruneChiSquareOE.String(), bound, crit)
 			}
-			d.skipChildren = true
+			d.SkipChildren = true
 		}
 	}
 	return d
 }
 
-// chiSquareCrit is the critical value the χ² optimistic-estimate rule
+// ChiSquareCrit is the critical value the χ² optimistic-estimate rule
 // compares against: the (1−α) quantile of χ² with groups−1 degrees of
 // freedom.
-func chiSquareCrit(alpha float64, groups int) float64 {
+func ChiSquareCrit(alpha float64, groups int) float64 {
 	return stats.ChiSquareQuantile(1-alpha, groups-1)
 }
 

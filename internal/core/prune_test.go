@@ -66,8 +66,8 @@ func TestEvaluatePruningMinDeviation(t *testing.T) {
 	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All()) // ~5% support in A only
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
-	if !dec.skipChildren || !dec.skipContrast || !dec.record {
+	dec := EvaluatePruning(AllPruning(), set, sup, 0.1, 0.05, ChiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	if !dec.SkipChildren || !dec.SkipContrast || !dec.Record {
 		t.Errorf("low-support space should fully prune: %+v", dec)
 	}
 }
@@ -80,14 +80,14 @@ func TestEvaluatePruningPureSpace(t *testing.T) {
 	if sup.PR() != 1 {
 		t.Fatalf("setup: PR = %v", sup.PR())
 	}
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
-	if !dec.skipChildren {
+	dec := EvaluatePruning(AllPruning(), set, sup, 0.1, 0.05, ChiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	if !dec.SkipChildren {
 		t.Error("pure space must not be extended")
 	}
-	if dec.skipContrast {
+	if dec.SkipContrast {
 		t.Error("pure space is still a valid contrast itself")
 	}
-	if !dec.record {
+	if !dec.Record {
 		t.Error("pure space must be recorded in the lookup table")
 	}
 }
@@ -97,8 +97,8 @@ func TestEvaluatePruningDisabled(t *testing.T) {
 	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All())
-	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
-	if dec.skipChildren || dec.skipContrast || dec.record {
+	dec := EvaluatePruning(Pruning{}, set, sup, 0.1, 0.05, ChiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	if dec.SkipChildren || dec.SkipContrast || dec.Record {
 		t.Errorf("disabled pruning should pass everything: %+v", dec)
 	}
 }

@@ -27,7 +27,7 @@ type sdadRun struct {
 	prune     Pruning
 	contAttrs []int
 	alpha     float64 // Bonferroni-adjusted level α
-	crit      float64 // χ² critical value at alpha (chiSquareCrit)
+	crit      float64 // χ² critical value at alpha (ChiSquareCrit)
 	threshold float64 // current top-k minimum support (interest measure)
 	memo      *supportMemo
 	scratch   *sdadScratch
@@ -281,12 +281,12 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	}
 
 	// Pruning rules (§4.3).
-	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha, r.crit,
+	dec := EvaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha, r.crit,
 		r.totalRows, r.memo.supports, r.rec, r.tr, level, r.worker)
-	if dec.record && r.prune.LookupTable {
+	if dec.Record && r.prune.LookupTable {
 		r.inserts = append(r.inserts, childBox)
 	}
-	if dec.skipContrast && dec.skipChildren {
+	if dec.SkipContrast && dec.SkipChildren {
 		r.stats.SpacesPruned++
 		return
 	}
@@ -295,7 +295,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	// Decide whether to explore further (Lines 12–13): recurse while the
 	// optimistic estimate exceeds the current minimum support.
 	explored := false
-	if !dec.skipChildren {
+	if !dec.SkipChildren {
 		oe := optimisticEstimate(sup, sub.Len(), len(r.contAttrs), r.cfg.OEMode, r.cfg.Measure)
 		if oe > r.threshold {
 			child := r.explore(sub, childBox, level+1, score)
@@ -311,7 +311,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 			}
 		}
 	}
-	if dec.skipContrast || (explored && !r.cfg.RecordExploredSpaces) {
+	if dec.SkipContrast || (explored && !r.cfg.RecordExploredSpaces) {
 		if explored && r.tr.Enabled() {
 			// Algorithm 1 keeps the refined children, not the coarse parent.
 			r.tr.Prune(level, r.worker, childBox.Key(), "superseded_by_children",
