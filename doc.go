@@ -26,7 +26,6 @@
 // Every algorithm — the SDAD-CS search and the paper's baselines (Bay's
 // MVD and Fayyad–Irani entropy discretization, STUCCO categorical mining,
 // Cortana-style subgroup discovery) — is also available behind the unified
-// engine API: MineWith dispatches on MinerConfig.Algorithm, and
-// Algorithms lists the registered names. MineSTUCCO and MineSubgroups
-// remain as direct entry points for comparison studies.
+// engine API, their one public route: MineWith dispatches on
+// MinerConfig.Algorithm, and Algorithms lists the registered names.
 package sdadcs

@@ -58,12 +58,13 @@ func main() {
 	})
 	show("SDAD-CS (support difference)", resDiff.Contrasts, d, 6)
 
-	// Cortana-style subgroup discovery (beam search, WRACC, intervals).
-	show("Subgroup discovery (Cortana-style)",
-		sdadcs.MineSubgroups(d, sdadcs.SubgroupConfig{Depth: 2}), d, 6)
+	// The baselines run through the unified engine API. Cortana-style
+	// subgroup discovery (beam search, WRACC, intervals):
+	sres, _ := sdadcs.MineWith(context.Background(), d,
+		sdadcs.MinerConfig{Algorithm: "subgroup", MaxDepth: 2})
+	show("Subgroup discovery (Cortana-style)", sres.Contrasts, d, 6)
 
-	// Global pre-binning baselines: entropy (MDLP) and MVD, via the
-	// unified engine API.
+	// Global pre-binning baselines: entropy (MDLP) and MVD.
 	eres, _ := sdadcs.MineWith(context.Background(), d,
 		sdadcs.MinerConfig{Algorithm: "entropy", MaxDepth: 2})
 	show("Fayyad-Irani entropy binning", eres.Contrasts, eres.Binned, 6)

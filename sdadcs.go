@@ -8,12 +8,9 @@ import (
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/engine"
 	"sdadcs/internal/metrics"
-	"sdadcs/internal/mvd"
 	"sdadcs/internal/pattern"
 	"sdadcs/internal/report"
 	"sdadcs/internal/stream"
-	"sdadcs/internal/stucco"
-	"sdadcs/internal/subgroup"
 	"sdadcs/internal/trace"
 )
 
@@ -224,22 +221,6 @@ func AllPruning() Pruning { return core.AllPruning() }
 // comparisons.
 func NPPruning() Pruning { return core.NPPruning() }
 
-// Baseline configurations re-exported for comparison studies.
-type (
-	// STUCCOConfig configures categorical-only contrast set mining.
-	STUCCOConfig = stucco.Config
-	// MVDConfig configures Bay's multivariate discretization.
-	MVDConfig = mvd.Config
-	// SubgroupConfig configures Cortana-style subgroup discovery.
-	SubgroupConfig = subgroup.Config
-)
-
-// MineSTUCCO mines contrast sets over the categorical attributes only
-// (Bay & Pazzani's STUCCO), or over pre-binned data.
-func MineSTUCCO(d *Dataset, cfg STUCCOConfig) []Contrast {
-	return stucco.Mine(d, cfg).Contrasts
-}
-
 // Unified engine API: every algorithm — the SDAD-CS search and the four
 // baselines — behind one canonical configuration.
 type (
@@ -262,12 +243,6 @@ func MineWith(ctx context.Context, d *Dataset, cfg MinerConfig) (MinerResult, er
 
 // Algorithms returns the registered algorithm names.
 func Algorithms() []string { return engine.Algorithms() }
-
-// MineSubgroups runs Cortana-style beam-search subgroup discovery (WRACC,
-// interval conditions), pooling subgroups from every target group.
-func MineSubgroups(d *Dataset, cfg SubgroupConfig) []Contrast {
-	return subgroup.Mine(d, cfg).Contrasts
-}
 
 // Discretized applies cut points to continuous attributes, yielding a
 // categorical copy of the dataset (used by the global pre-binning

@@ -78,8 +78,11 @@ func TestPublicAPIBuilder(t *testing.T) {
 func TestPublicAPIBaselines(t *testing.T) {
 	d := loadSample(t)
 
-	cs := sdadcs.MineSubgroups(d, sdadcs.SubgroupConfig{})
-	if len(cs) == 0 {
+	sres, err := sdadcs.MineWith(context.Background(), d, sdadcs.MinerConfig{Algorithm: "subgroup"})
+	if err != nil {
+		t.Fatalf("subgroup baseline: %v", err)
+	}
+	if len(sres.Contrasts) == 0 {
 		t.Error("subgroup baseline found nothing")
 	}
 	eres, err := sdadcs.MineWith(context.Background(), d, sdadcs.MinerConfig{Algorithm: "entropy"})
@@ -147,8 +150,11 @@ func TestPublicAPIItemConstructors(t *testing.T) {
 func TestPublicAPISTUCCOAndDiscretized(t *testing.T) {
 	d := loadSample(t)
 	binned := sdadcs.Discretized(d, map[int][]float64{0: {0.5}, 1: {0.5}})
-	cs := sdadcs.MineSTUCCO(binned, sdadcs.STUCCOConfig{})
-	if len(cs) == 0 {
+	res, err := sdadcs.MineWith(context.Background(), binned, sdadcs.MinerConfig{Algorithm: "stucco"})
+	if err != nil {
+		t.Fatalf("STUCCO: %v", err)
+	}
+	if len(res.Contrasts) == 0 {
 		t.Error("STUCCO on binned separable data found nothing")
 	}
 }
