@@ -85,6 +85,10 @@ func NPPruning() Pruning {
 // threshold).
 const TopKUnbounded = -1
 
+// DefaultMaxDepth is the depth a zero MaxDepth selects: the paper's
+// stunted search tree, shared by the STUCCO baseline.
+const DefaultMaxDepth = 5
+
 // Config controls a mining run. The zero value is usable: it maps to the
 // paper's experimental setup (α = 0.05, δ = 0.1, depth 5, top-100,
 // support-difference measure, all pruning, meaningfulness filter on).
@@ -151,7 +155,7 @@ func (c *Config) defaults() {
 		c.Delta = 0.1
 	}
 	if c.MaxDepth == 0 {
-		c.MaxDepth = 5
+		c.MaxDepth = DefaultMaxDepth
 	}
 	if c.MaxRecursion == 0 {
 		c.MaxRecursion = 8

@@ -10,6 +10,7 @@ import (
 	"sdadcs/internal/core"
 	"sdadcs/internal/metrics"
 	"sdadcs/internal/pattern"
+	"sdadcs/internal/subgroup"
 	"sdadcs/internal/trace"
 )
 
@@ -58,12 +59,27 @@ type Config struct {
 	Trace   *trace.Tracer
 }
 
-// algorithm resolves the default algorithm name.
-func (c Config) algorithm() string {
+// AlgorithmName is the algorithm that runs: Algorithm, or "sdadcs" when
+// it is empty.
+func (c Config) AlgorithmName() string {
 	if c.Algorithm == "" {
 		return "sdadcs"
 	}
 	return c.Algorithm
+}
+
+// ResolvedMaxDepth is the depth bound the algorithm mines to: MaxDepth,
+// or the algorithm's default when it is 0 (the beam search's is
+// shallower than the levelwise searches').
+func (c Config) ResolvedMaxDepth() int {
+	switch {
+	case c.MaxDepth != 0:
+		return c.MaxDepth
+	case c.AlgorithmName() == "subgroup":
+		return subgroup.DefaultDepth
+	default:
+		return core.DefaultMaxDepth
+	}
 }
 
 // coreConfig maps the shared + sdadcs fields onto core.Config.
@@ -98,7 +114,7 @@ func (c Config) Validate() error {
 	bad := func(field string, value any, reason string) {
 		errs = append(errs, &core.FieldError{Field: field, Value: value, Reason: reason})
 	}
-	if _, ok := Lookup(c.algorithm()); !ok {
+	if _, ok := Lookup(c.AlgorithmName()); !ok {
 		bad("Algorithm", c.Algorithm,
 			"unknown algorithm; one of "+strings.Join(Algorithms(), ", "))
 	}
@@ -138,10 +154,10 @@ func (c Config) Validate() error {
 // layer's result cache and singleflight deduplication are addressed by
 // its hash.
 func (c Config) CanonicalKey() string {
-	if m, ok := Lookup(c.algorithm()); ok {
+	if m, ok := Lookup(c.AlgorithmName()); ok {
 		return m.CanonicalKey(c)
 	}
-	return "algorithm=" + c.algorithm()
+	return "algorithm=" + c.AlgorithmName()
 }
 
 // CanonicalHash is the hex-encoded SHA-256 of CanonicalKey truncated to

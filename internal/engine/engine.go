@@ -136,7 +136,7 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	m, _ := Lookup(cfg.algorithm()) // Validate guarantees the lookup
+	m, _ := Lookup(cfg.AlgorithmName()) // Validate guarantees the lookup
 	log := obs.Log(ctx)
 	log.InfoContext(ctx, "mine start",
 		"algorithm", m.Name(),

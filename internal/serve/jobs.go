@@ -116,23 +116,14 @@ type JobStatus struct {
 	Progress   *JobProgress `json:"progress,omitempty"`
 }
 
-// algorithm resolves the job's effective algorithm name.
-func (j *Job) algorithm() string {
-	if j.cfg.Algorithm != "" {
-		return j.cfg.Algorithm
-	}
-	return "sdadcs"
-}
-
 // Status snapshots the job for the API.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	alg := j.algorithm()
 	st := JobStatus{
 		ID:         j.ID,
 		DatasetID:  j.DatasetID,
-		Algorithm:  alg,
+		Algorithm:  j.cfg.AlgorithmName(),
 		ConfigHash: j.cfg.CanonicalHash(),
 		State:      j.state,
 		Deduped:    j.deduped,
@@ -157,16 +148,10 @@ func (j *Job) Status() JobStatus {
 		s := j.rec.Snapshot()
 		p := &JobProgress{
 			LevelsDone:  len(s.Levels),
-			MaxDepth:    j.cfg.MaxDepth,
+			MaxDepth:    j.cfg.ResolvedMaxDepth(),
 			SDADCalls:   s.SDADCalls,
 			Threshold:   s.Threshold,
 			TraceEvents: s.TraceEvents,
-		}
-		if p.MaxDepth == 0 {
-			p.MaxDepth = 5 // the documented levelwise default
-			if alg == "subgroup" {
-				p.MaxDepth = 2 // beam search defaults shallower
-			}
 		}
 		for _, lv := range s.Levels {
 			p.NodesEvaluated += lv.Nodes
@@ -288,7 +273,7 @@ func (j *Job) logFinished(log *slog.Logger) {
 	j.mu.Unlock()
 	attrs := []any{
 		"state", string(state),
-		"algorithm", j.algorithm(),
+		"algorithm", j.cfg.AlgorithmName(),
 		"dataset_id", j.DatasetID,
 		"contrasts", contrasts,
 		"total_ms", float64(finished.Sub(created)) / 1e6,
@@ -427,7 +412,7 @@ func (m *Manager) Submit(ctx context.Context, datasetID string, cfg engine.Confi
 		m.log.InfoContext(job.ctx, "job accepted",
 			"outcome", outcome,
 			"dataset_id", datasetID,
-			"algorithm", job.algorithm(),
+			"algorithm", job.cfg.AlgorithmName(),
 			"config_hash", cfg.CanonicalHash())
 	}
 
@@ -559,7 +544,7 @@ func (m *Manager) mine(ctx context.Context, job *Job, cfg engine.Config) (res en
 		if p := recover(); p != nil {
 			m.counters.jobPanics.Add(1)
 			m.log.ErrorContext(job.ctx, "job panicked",
-				"algorithm", job.algorithm(),
+				"algorithm", job.cfg.AlgorithmName(),
 				"dataset_id", job.DatasetID,
 				"panic", fmt.Sprint(p),
 				"stack", string(debug.Stack()))
@@ -595,7 +580,7 @@ func (m *Manager) runJob(job *Job) {
 	defer m.counters.jobsRunning.Add(-1)
 	m.queueWait.Observe(wait)
 	m.log.InfoContext(job.ctx, "job running",
-		"algorithm", job.algorithm(),
+		"algorithm", job.cfg.AlgorithmName(),
 		"dataset_id", job.DatasetID,
 		"queue_wait_ms", float64(wait)/1e6)
 
@@ -612,7 +597,7 @@ func (m *Manager) runJob(job *Job) {
 
 	mineStart := time.Now()
 	res, err := m.mine(runCtx, job, cfg)
-	m.observeMine(job.algorithm(), rec.Snapshot(), time.Since(mineStart))
+	m.observeMine(job.cfg.AlgorithmName(), rec.Snapshot(), time.Since(mineStart))
 	if err != nil {
 		m.finishFlight(job, nil, err)
 		return

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"sdadcs/internal/engine"
+	"sdadcs/internal/metrics"
 	"sdadcs/internal/trace"
 )
 
@@ -118,5 +120,35 @@ func TestFinishedJobReleasesTracer(t *testing.T) {
 	finished(canceled.ID, JobCanceled)
 	if got := traceBody(canceled.ID); len(got) == 0 || !bytes.Equal(got, jsonl(ring.Snapshot())) {
 		t.Error("canceled job's trace body differs from the ring it left behind")
+	}
+}
+
+// TestRunningJobProgressDepth: a running job reports the algorithm and the
+// depth bound that actually run, resolved by the engine — a subgroup job
+// with max_depth 0 mines to the beam search's default depth 2, not the
+// levelwise searches' 5.
+func TestRunningJobProgressDepth(t *testing.T) {
+	cases := []struct {
+		cfg       engine.Config
+		algorithm string
+		depth     int
+	}{
+		{engine.Config{Algorithm: "subgroup"}, "subgroup", 2},
+		{engine.Config{Algorithm: "subgroup", MaxDepth: 3}, "subgroup", 3},
+		{engine.Config{}, "sdadcs", 5},
+		{engine.Config{Algorithm: "mvd"}, "mvd", 5},
+	}
+	for _, c := range cases {
+		j := &Job{cfg: c.cfg, state: JobRunning, rec: metrics.New()}
+		st := j.Status()
+		if st.Algorithm != c.algorithm {
+			t.Errorf("%+v: algorithm %q, want %q", c.cfg, st.Algorithm, c.algorithm)
+		}
+		if st.Progress == nil {
+			t.Fatalf("%+v: running job reports no progress", c.cfg)
+		}
+		if st.Progress.MaxDepth != c.depth {
+			t.Errorf("%+v: progress max_depth %d, want %d", c.cfg, st.Progress.MaxDepth, c.depth)
+		}
 	}
 }
