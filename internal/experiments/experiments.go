@@ -12,11 +12,9 @@ import (
 	"strings"
 	"time"
 
-	"sdadcs/internal/core"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/engine"
 	"sdadcs/internal/pattern"
-	"sdadcs/internal/subgroup"
 )
 
 // Options tunes the experiment harness.
@@ -125,88 +123,24 @@ type AlgorithmRun struct {
 	Partitions int
 }
 
-// runSDAD runs full SDAD-CS with the given measure.
-func runSDAD(d *dataset.Dataset, measure pattern.Measure, opts Options) AlgorithmRun {
+// run mines d through the engine with cfg at the harness's depth and
+// top-k: every compared algorithm (SDAD-CS, its NP variant, MVD, Entropy,
+// Cortana-Interval) goes through this one runner. Data is the binned
+// dataset for the globally-discretizing algorithms, else d.
+func run(name string, d *dataset.Dataset, cfg engine.Config, opts Options) AlgorithmRun {
+	cfg.MaxDepth, cfg.TopK = opts.Depth, opts.TopK
 	start := time.Now()
-	res := core.Mine(d, core.Config{
-		Measure:  measure,
-		MaxDepth: opts.Depth,
-		TopK:     opts.TopK,
-	})
+	res, _ := engine.Mine(d, cfg)
+	data := res.Binned
+	if data == nil {
+		data = d
+	}
 	return AlgorithmRun{
-		Name:       "SDAD-CS",
+		Name:       name,
 		Contrasts:  res.Contrasts,
-		Data:       d,
+		Data:       data,
 		Elapsed:    time.Since(start),
 		Partitions: res.Stats.PartitionsEvaluated,
-	}
-}
-
-// runSDADNP runs the no-pruning variant used for the level playing field
-// in Tables 4–6.
-func runSDADNP(d *dataset.Dataset, measure pattern.Measure, opts Options) AlgorithmRun {
-	start := time.Now()
-	res := core.Mine(d, core.Config{
-		Measure:  measure,
-		MaxDepth: opts.Depth,
-		TopK:     opts.TopK,
-	}.NP())
-	return AlgorithmRun{
-		Name:       "SDAD-CS NP",
-		Contrasts:  res.Contrasts,
-		Data:       d,
-		Elapsed:    time.Since(start),
-		Partitions: res.Stats.PartitionsEvaluated,
-	}
-}
-
-// runMVD runs Bay's discretizer plus the shared categorical search.
-func runMVD(d *dataset.Dataset, opts Options) AlgorithmRun {
-	start := time.Now()
-	res, _ := engine.Mine(d, engine.Config{
-		Algorithm: "mvd",
-		MaxDepth:  opts.Depth,
-		TopK:      opts.TopK,
-	})
-	return AlgorithmRun{
-		Name:       "MVD",
-		Contrasts:  res.Contrasts,
-		Data:       res.Binned,
-		Elapsed:    time.Since(start),
-		Partitions: res.Stats.PartitionsEvaluated,
-	}
-}
-
-// runEntropy runs the Fayyad–Irani baseline.
-func runEntropy(d *dataset.Dataset, opts Options) AlgorithmRun {
-	start := time.Now()
-	res, _ := engine.Mine(d, engine.Config{
-		Algorithm: "entropy",
-		MaxDepth:  opts.Depth,
-		TopK:      opts.TopK,
-	})
-	return AlgorithmRun{
-		Name:       "Entropy",
-		Contrasts:  res.Contrasts,
-		Data:       res.Binned,
-		Elapsed:    time.Since(start),
-		Partitions: res.Stats.PartitionsEvaluated,
-	}
-}
-
-// runCortana runs the subgroup-discovery baseline.
-func runCortana(d *dataset.Dataset, opts Options) AlgorithmRun {
-	start := time.Now()
-	res := subgroup.Mine(d, subgroup.Config{
-		Depth: opts.Depth,
-		TopK:  opts.TopK,
-	})
-	return AlgorithmRun{
-		Name:       "Cortana-Interval",
-		Contrasts:  res.Contrasts,
-		Data:       d,
-		Elapsed:    time.Since(start),
-		Partitions: res.Evaluated,
 	}
 }
 

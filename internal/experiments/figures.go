@@ -7,6 +7,7 @@ import (
 	"sdadcs/internal/core"
 	"sdadcs/internal/datagen"
 	"sdadcs/internal/dataset"
+	"sdadcs/internal/engine"
 	"sdadcs/internal/pattern"
 )
 
@@ -68,10 +69,10 @@ func Figure3(opts Options) Figure3Result {
 		runs := map[string]AlgorithmRun{}
 		// SDAD-CS with the Surprising Measure, as in the qualitative
 		// experiments.
-		runs["SDAD-CS"] = runSDAD(d, pattern.SurprisingMeasure, opts)
-		runs["MVD"] = runMVD(d, opts)
-		runs["Entropy"] = runEntropy(d, opts)
-		runs["Cortana-Interval"] = runCortana(d, opts)
+		runs["SDAD-CS"] = run("SDAD-CS", d, engine.Config{Measure: pattern.SurprisingMeasure}, opts)
+		runs["MVD"] = run("MVD", d, engine.Config{Algorithm: "mvd"}, opts)
+		runs["Entropy"] = run("Entropy", d, engine.Config{Algorithm: "entropy"}, opts)
+		runs["Cortana-Interval"] = run("Cortana-Interval", d, engine.Config{Algorithm: "subgroup"}, opts)
 		out.Runs[i] = runs
 
 		t := Table{

@@ -8,6 +8,7 @@ import (
 	"sdadcs/internal/core"
 	"sdadcs/internal/datagen"
 	"sdadcs/internal/dataset"
+	"sdadcs/internal/engine"
 	"sdadcs/internal/pattern"
 	"sdadcs/internal/stats"
 )
@@ -95,10 +96,10 @@ func starNotSig(v, p float64) string {
 }
 
 func table4Row(d *dataset.Dataset, opts Options) Table4Row {
-	np := runSDADNP(d, pattern.SupportDiff, opts)
-	mv := runMVD(d, opts)
-	en := runEntropy(d, opts)
-	co := runCortana(d, opts)
+	np := run("SDAD-CS NP", d, engine.Config{Measure: pattern.SupportDiff, NP: true}, opts)
+	mv := run("MVD", d, engine.Config{Algorithm: "mvd"}, opts)
+	en := run("Entropy", d, engine.Config{Algorithm: "entropy"}, opts)
+	co := run("Cortana-Interval", d, engine.Config{Algorithm: "subgroup"}, opts)
 
 	// Rescore everything on support difference for a fair comparison.
 	rescored := func(cs []pattern.Contrast) []pattern.Contrast {
@@ -168,9 +169,9 @@ func Table5(opts Options) Table5Result {
 			"parts(SDAD-CS)", "parts(MVD)", "parts(SDAD-CS NP)"},
 	}
 	for _, d := range quantDatasets(opts) {
-		sd := runSDAD(d, pattern.SupportDiff, opts)
-		mv := runMVD(d, opts)
-		np := runSDADNP(d, pattern.SupportDiff, opts)
+		sd := run("SDAD-CS", d, engine.Config{Measure: pattern.SupportDiff}, opts)
+		mv := run("MVD", d, engine.Config{Algorithm: "mvd"}, opts)
+		np := run("SDAD-CS NP", d, engine.Config{Measure: pattern.SupportDiff, NP: true}, opts)
 		row := Table5Row{
 			Dataset:   d.Name(),
 			TimeSDAD:  sd.Elapsed,
@@ -219,7 +220,7 @@ func Table6(opts Options) Table6Result {
 		Header: []string{"dataset", "meaningful", "meaningless"},
 	}
 	for _, d := range quantDatasets(opts) {
-		np := runSDADNP(d, pattern.SupportDiff, opts)
+		np := run("SDAD-CS NP", d, engine.Config{Measure: pattern.SupportDiff, NP: true}, opts)
 		ms := core.Classify(d, np.Contrasts, 0.05)
 		good, bad := core.CountMeaningful(ms)
 		out.Rows = append(out.Rows, Table6Row{Dataset: d.Name(), Meaningful: good, Meaningless: bad})

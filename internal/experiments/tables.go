@@ -6,8 +6,8 @@ import (
 	"sdadcs/internal/core"
 	"sdadcs/internal/datagen"
 	"sdadcs/internal/dataset"
+	"sdadcs/internal/engine"
 	"sdadcs/internal/pattern"
-	"sdadcs/internal/subgroup"
 )
 
 // adultData builds the Adult-like dataset at the options' scale.
@@ -59,9 +59,9 @@ func Table1(opts Options) Table1Result {
 	// The baselines cannot be attribute-restricted per-call in the same
 	// way, so mine a projected dataset with just the two attributes.
 	proj := projectContinuous(d, attrs)
-	runs["Cortana-Interval"] = runCortana(proj, opts)
-	runs["Entropy"] = runEntropy(proj, opts)
-	runs["MVD"] = runMVD(proj, opts)
+	runs["Cortana-Interval"] = run("Cortana-Interval", proj, engine.Config{Algorithm: "subgroup"}, opts)
+	runs["Entropy"] = run("Entropy", proj, engine.Config{Algorithm: "entropy"}, opts)
+	runs["MVD"] = run("MVD", proj, engine.Config{Algorithm: "mvd"}, opts)
 
 	t := Table{
 		Title:  "Table 1: Contrast Sets for Adult (age, hours-per-week)",
@@ -139,7 +139,7 @@ func Table3(opts Options) Table3Result {
 	doc := d.GroupIndex("Doctorate")
 	bach := d.GroupIndex("Bachelors")
 
-	res := subgroup.Mine(d, subgroup.Config{Depth: 2, TopK: opts.TopK})
+	res, _ := engine.Mine(d, engine.Config{Algorithm: "subgroup", MaxDepth: 2, TopK: opts.TopK})
 	top := res.Contrasts
 	if len(top) > 5 {
 		top = top[:5]
