@@ -13,6 +13,7 @@ import (
 	"sdadcs/internal/core"
 	"sdadcs/internal/datagen"
 	"sdadcs/internal/dataset"
+	"sdadcs/internal/trace"
 )
 
 // allocTolerance is the relative slack, in both directions, between a
@@ -20,8 +21,9 @@ import (
 const allocTolerance = 0.005
 
 // TestAllocRatchet pins the allocations per call of the two benchmark
-// mine shapes at one worker and of loading the categorical shape from CSV
-// against testdata/allocs.txt. Allocation counts, unlike wall times, do
+// mine shapes at one worker, of the continuous shape mined with a
+// default-capacity decision tracer (as every serve job is), and of loading
+// the categorical shape from CSV against testdata/allocs.txt. Allocation counts, unlike wall times, do
 // not vary between runs, so a regression fails here on every push. Map
 // internals change the counts between Go releases, so the file names the
 // toolchain it was recorded with and the test skips on any other. A change
@@ -42,6 +44,9 @@ func TestAllocRatchet(t *testing.T) {
 	workloads := map[string]func(){
 		"mine-continuous-shape":  func() { core.Mine(cont, core.Config{MaxDepth: 2, Workers: 1}) },
 		"mine-categorical-shape": func() { core.Mine(cat, core.Config{MaxDepth: 3, Workers: 1}) },
+		"mine-continuous-shape-traced": func() {
+			core.Mine(cont, core.Config{MaxDepth: 2, Workers: 1, Trace: trace.New(0)})
+		},
 		"fromcsv-categorical-shape": func() {
 			if _, err := dataset.FromCSV(bytes.NewReader(csv.Bytes()), dataset.CSVOptions{GroupColumn: "group"}); err != nil {
 				t.Fatal(err)
