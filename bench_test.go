@@ -289,13 +289,16 @@ func BenchmarkMineMetrics(b *testing.B) {
 // as BenchmarkMineMetrics: the disabled variant (nil tracer, one pointer
 // check per decision site) must stay within noise of the untraced mine;
 // the enabled variant pays for recording every decision event into the
-// preallocated ring and reports the event volume.
+// ring, whose pages are allocated as events reach them, and reports the
+// event volume. Both report allocations, so bench output shows what a
+// traced mine costs over an untraced one.
 func BenchmarkMineTrace(b *testing.B) {
 	d, attrs := ablationData()
 	cfg := func() core.Config {
 		return core.Config{Attrs: attrs, MaxDepth: 2, SkipMeaningfulFilter: true}
 	}
 	b.Run("disabled", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res := core.Mine(d, cfg())
 			if res.Trace != nil {
@@ -304,6 +307,7 @@ func BenchmarkMineTrace(b *testing.B) {
 		}
 	})
 	b.Run("enabled", func(b *testing.B) {
+		b.ReportAllocs()
 		var tr *sdadcs.Trace
 		for i := 0; i < b.N; i++ {
 			c := cfg()

@@ -21,8 +21,15 @@ type Explanation struct {
 	// Verdict summarizes the chain: "emitted", "filtered (…)",
 	// "pruned (…)", "evicted from top-k", "rejected by top-k",
 	// "discarded (tentative)", "evaluated, no contrast",
-	// "subsumed (pruned subset)" or "unseen".
+	// "subsumed (pruned subset)", "unseen", or "incomplete (N events
+	// dropped)" when the pattern has no events in a trace that dropped
+	// some: its decisions may be among the dropped ones.
 	Verdict string
+	// Dropped is the number of events the trace dropped on overflow. The
+	// ring keeps a run's earliest events, so when it is not 0 the
+	// pattern's later decisions may be missing from Events, and a verdict
+	// short of the meaningfulness filter's may be provisional.
+	Dropped uint64
 	// Events is the decision chain recorded for the pattern itself, in
 	// sequence order.
 	Events []trace.Event
@@ -38,16 +45,23 @@ type Explanation struct {
 // pruning rules, then the emission state. When the pattern never generated
 // an event, its proper subsets' prune events are consulted (a pruned
 // subset cuts the whole combination space, §4.1), and failing that the
-// pattern is reported "unseen".
+// pattern is reported "unseen" — unless the trace dropped events, which
+// may have held the pattern's decisions, and the answer is "incomplete".
 func Explain(tr *trace.Trace, set pattern.Itemset) Explanation {
 	x := Explanation{Key: set.Key(), Set: set}
+	if tr != nil {
+		x.Dropped = tr.Dropped
+	}
 	ix := trace.NewIndex(tr)
-	x.Events = ix.Events(x.Key)
+	x.Events = ix.Events(set)
 	if len(x.Events) == 0 {
 		x.Subset = subsetPrunes(ix, set)
-		if len(x.Subset) > 0 {
+		switch {
+		case x.Dropped > 0:
+			x.Verdict = fmt.Sprintf("incomplete (%d events dropped)", x.Dropped)
+		case len(x.Subset) > 0:
 			x.Verdict = "subsumed (pruned subset)"
-		} else {
+		default:
 			x.Verdict = "unseen"
 		}
 		return x
@@ -115,7 +129,7 @@ func subsetPrunes(ix *trace.Index, set pattern.Itemset) []trace.Event {
 				sub = append(sub, items[i])
 			}
 		}
-		for _, e := range ix.Events(pattern.NewItemset(sub...).Key()) {
+		for _, e := range ix.Events(pattern.NewItemset(sub...)) {
 			if e.Kind == trace.KindPrune {
 				out = append(out, e)
 			}
@@ -130,8 +144,11 @@ func subsetPrunes(ix *trace.Index, set pattern.Itemset) []trace.Event {
 // human-readable patterns (pass nil to print raw keys).
 func (x Explanation) Format(d *dataset.Dataset) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pattern: %s\n", renderKey(d, x.Key))
+	fmt.Fprintf(&b, "pattern: %s\n", renderSet(d, x.Set))
 	fmt.Fprintf(&b, "verdict: %s\n", x.Verdict)
+	if x.Dropped > 0 && len(x.Events) > 0 && !hasFilterVerdict(x.Events) {
+		fmt.Fprintf(&b, "trace: %d events dropped on overflow; later decisions may be missing\n", x.Dropped)
+	}
 	if len(x.Events) > 0 {
 		b.WriteString("decisions:\n")
 		for i := range x.Events {
@@ -142,14 +159,38 @@ func (x Explanation) Format(d *dataset.Dataset) string {
 		b.WriteString("subset decisions:\n")
 		for i := range x.Subset {
 			fmt.Fprintf(&b, "  - %s: %s\n",
-				renderKey(d, x.Subset[i].Key), renderEvent(d, &x.Subset[i]))
+				renderSet(d, x.Subset[i].Set), renderEvent(d, &x.Subset[i]))
 		}
 	}
 	return b.String()
 }
 
-// renderKey formats a canonical key as a readable pattern when a dataset
-// is available, falling back to the raw key.
+// hasFilterVerdict reports whether a chain holds the meaningfulness
+// filter's verdict, the decision nothing comes after.
+func hasFilterVerdict(events []trace.Event) bool {
+	for i := range events {
+		if events[i].Kind == trace.KindFilter {
+			return true
+		}
+	}
+	return false
+}
+
+// renderSet formats an itemset as a readable pattern when a dataset is
+// available, falling back to its canonical key.
+func renderSet(d *dataset.Dataset, set pattern.Itemset) string {
+	if set.Len() == 0 {
+		return "(empty pattern)"
+	}
+	if d == nil {
+		return set.Key()
+	}
+	return set.Format(d)
+}
+
+// renderKey formats a canonical key carried in an event's argument as a
+// readable pattern when a dataset is available, falling back to the raw
+// key.
 func renderKey(d *dataset.Dataset, key string) string {
 	if key == "" {
 		return "(empty pattern)"

@@ -176,3 +176,39 @@ decisions:
 		t.Errorf("golden mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestExplainIncompleteTrace covers a trace that overflowed its
+// four-event ring. The emitted hurricane conjunction has no events left,
+// so it must be reported incomplete, not unseen or subsumed; temp = yes
+// lost everything after its emission, so its provisional verdict comes
+// with a warning that later decisions may be missing.
+func TestExplainIncompleteTrace(t *testing.T) {
+	d := hurricaneData(t)
+	res := Mine(d, Config{Workers: 1, Trace: trace.New(4), Measure: pattern.SurprisingMeasure})
+	if res.Trace.Dropped != 46 {
+		t.Fatalf("a four-event ring dropped %d events, want 46", res.Trace.Dropped)
+	}
+	conj := pattern.NewItemset(
+		item(d, "temp", "yes"), item(d, "depth", "yes"), item(d, "shear", "yes"))
+	x := Explain(res.Trace, conj)
+	if x.Dropped != 46 {
+		t.Errorf("Dropped = %d, want 46", x.Dropped)
+	}
+	want := `pattern: temp = yes and depth = yes and shear = yes
+verdict: incomplete (46 events dropped)
+`
+	if got := x.Format(d); got != want {
+		t.Errorf("conjunction:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	got := Explain(res.Trace, pattern.NewItemset(item(d, "temp", "yes"))).Format(d)
+	want = `pattern: temp = yes
+verdict: discarded (tentative)
+trace: 46 events dropped on overflow; later decisions may be missing
+decisions:
+  - level 1: evaluated (3036 rows, group counts [2367 669])
+  - level 1: emitted as contrast (score 0.30912849076029003, chi2 735.0977910543372, p 6.977848615653517e-162)
+`
+	if got != want {
+		t.Errorf("temp = yes:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

@@ -98,7 +98,7 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 		meaning := classify(d, contrasts, cfg.Alpha, m.memo)
 		for i, c := range contrasts {
 			if m.tr.Enabled() {
-				m.tr.Filter(c.Set.Key(), meaning[i].verdict(), c.Score)
+				m.tr.Filter(c.Set, meaning[i].verdict(), c.Score)
 			}
 			if meaning[i].Meaningful() {
 				res.Contrasts = append(res.Contrasts, c)
@@ -540,7 +540,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit floa
 		if mask, hit := m.table.prunedSubset(nd.catSet); hit {
 			m.rec.PruneHit(metrics.PruneLookupTable)
 			if m.tr.Enabled() {
-				m.tr.Prune(level, worker, nd.catSet.Key(),
+				m.tr.Prune(level, worker, nd.catSet,
 					metrics.PruneLookupTable.String()+":"+subsetKey(nd.catSet, mask), 0, 0)
 			}
 			o.stats.SpacesPruned++
@@ -551,7 +551,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit floa
 	counts := m.groupCounts(nd)
 	sup := pattern.CountsToSupports(counts, m.sizes)
 	if m.tr.Enabled() {
-		m.tr.Node(level, worker, nd.catSet.Key(), sup.TotalCount(), counts)
+		m.tr.Node(level, worker, nd.catSet, sup.TotalCount(), counts)
 	}
 	dec := EvaluatePruning(m.prune, nd.catSet, sup, m.cfg.Delta, alpha, crit,
 		m.d.Rows(), m.memo.supports, m.rec, m.tr, level, worker)
@@ -567,7 +567,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit floa
 	if !dec.SkipContrast && sup.MaxDiff() > m.cfg.Delta {
 		if test, err := stats.ChiSquare2xK(sup.Count, m.sizes); err == nil && test.P < alpha {
 			if m.tr.Enabled() {
-				m.tr.Emit(level, worker, nd.catSet.Key(),
+				m.tr.Emit(level, worker, nd.catSet,
 					m.cfg.Measure.Eval(sup), test.Statistic, test.P, counts)
 			}
 			o.contrasts = append(o.contrasts, pattern.Contrast{
@@ -580,10 +580,10 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit floa
 		} else if m.tr.Enabled() {
 			// Large but not significant: the decision the explain path
 			// reports for patterns that never reached the candidate stream.
-			m.tr.Prune(level, worker, nd.catSet.Key(), "not_significant", test.P, alpha)
+			m.tr.Prune(level, worker, nd.catSet, "not_significant", test.P, alpha)
 		}
 	} else if !dec.SkipContrast && m.tr.Enabled() {
-		m.tr.Prune(level, worker, nd.catSet.Key(), "not_large", sup.MaxDiff(), m.cfg.Delta)
+		m.tr.Prune(level, worker, nd.catSet, "not_large", sup.MaxDiff(), m.cfg.Delta)
 	}
 	return o
 }

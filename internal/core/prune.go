@@ -115,7 +115,7 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	if p.MinDeviation && !sup.LargeIn(delta) {
 		rec.PruneHit(metrics.PruneMinDeviation)
 		if tr.Enabled() {
-			tr.Prune(level, worker, set.Key(), metrics.PruneMinDeviation.String(),
+			tr.Prune(level, worker, set, metrics.PruneMinDeviation.String(),
 				maxSupport(sup), delta)
 		}
 		return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
@@ -126,7 +126,7 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 		if min := minExpected(sup, totalRows); min < 5 {
 			rec.PruneHit(metrics.PruneExpectedCount)
 			if tr.Enabled() {
-				tr.Prune(level, worker, set.Key(), metrics.PruneExpectedCount.String(), min, 5)
+				tr.Prune(level, worker, set, metrics.PruneExpectedCount.String(), min, 5)
 			}
 			return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
 		}
@@ -137,7 +137,7 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 		if det, redundant := redundantByCLT(set, sup, alpha, suppOf); redundant {
 			rec.PruneHit(metrics.PruneRedundancyCLT)
 			if tr.Enabled() {
-				tr.Prune(level, worker, set.Key(),
+				tr.Prune(level, worker, set,
 					metrics.PruneRedundancyCLT.String()+":"+det.subset.Key(),
 					det.diff, det.half)
 			}
@@ -150,7 +150,7 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	if p.PureSpace && sup.PR() >= 1 && sup.TotalCount() > 0 {
 		rec.PruneHit(metrics.PrunePureSpace)
 		if tr.Enabled() {
-			tr.Prune(level, worker, set.Key(), metrics.PrunePureSpace.String(), sup.PR(), 1)
+			tr.Prune(level, worker, set, metrics.PrunePureSpace.String(), sup.PR(), 1)
 		}
 		d.SkipChildren = true
 		d.Record = true
@@ -162,7 +162,7 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 		if bound < crit {
 			rec.PruneHit(metrics.PruneChiSquareOE)
 			if tr.Enabled() {
-				tr.Prune(level, worker, set.Key(), metrics.PruneChiSquareOE.String(), bound, crit)
+				tr.Prune(level, worker, set, metrics.PruneChiSquareOE.String(), bound, crit)
 			}
 			d.SkipChildren = true
 		}

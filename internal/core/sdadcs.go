@@ -83,7 +83,7 @@ func (r *sdadRun) run(catSet pattern.Itemset, cover dataset.View) []pattern.Cont
 	d := r.explore(cover, catSet, 1, 0)
 	d = r.merge(d)
 	if r.tr.Enabled() {
-		r.tr.SDAD(startTS, r.worker, catSet.Key(), cover.Len(), time.Since(start))
+		r.tr.SDAD(startTS, r.worker, catSet, cover.Len(), time.Since(start))
 	}
 	return d
 }
@@ -113,7 +113,7 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 			})
 			splits++
 			if r.tr.Enabled() {
-				r.tr.Split(level, r.worker, box.Key(), r.d.Attr(attr).Name,
+				r.tr.Split(level, r.worker, box, r.d.Attr(attr).Name,
 					med, cur.Lo, cur.Hi)
 			}
 		} else {
@@ -262,7 +262,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 		if mask, hit := r.table.prunedSubset(childBox); hit {
 			r.rec.PruneHit(metrics.PruneLookupTable)
 			if r.tr.Enabled() {
-				r.tr.Prune(level, r.worker, childBox.Key(),
+				r.tr.Prune(level, r.worker, childBox,
 					metrics.PruneLookupTable.String()+":"+subsetKey(childBox, mask), 0, 0)
 			}
 			r.stats.SpacesPruned++
@@ -277,7 +277,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	sup := pattern.CountsToSupports(counts, r.sizes)
 	score := r.cfg.Measure.Eval(sup)
 	if r.tr.Enabled() {
-		r.tr.Space(level, r.worker, childBox.Key(), sub.Len(), counts)
+		r.tr.Space(level, r.worker, childBox, sub.Len(), counts)
 	}
 
 	// Pruning rules (§4.3).
@@ -306,7 +306,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 		} else {
 			r.rec.PruneHit(metrics.PruneOptimisticEstimate)
 			if r.tr.Enabled() {
-				r.tr.Prune(level, r.worker, childBox.Key(),
+				r.tr.Prune(level, r.worker, childBox,
 					metrics.PruneOptimisticEstimate.String(), oe, r.threshold)
 			}
 		}
@@ -314,7 +314,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	if dec.SkipContrast || (explored && !r.cfg.RecordExploredSpaces) {
 		if explored && r.tr.Enabled() {
 			// Algorithm 1 keeps the refined children, not the coarse parent.
-			r.tr.Prune(level, r.worker, childBox.Key(), "superseded_by_children",
+			r.tr.Prune(level, r.worker, childBox, "superseded_by_children",
 				score, parentMeasure)
 		}
 		return
@@ -324,7 +324,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	// immediately if it improves on its parent, tentatively otherwise.
 	if sup.MaxDiff() <= r.cfg.Delta {
 		if r.tr.Enabled() {
-			r.tr.Prune(level, r.worker, childBox.Key(), "not_large",
+			r.tr.Prune(level, r.worker, childBox, "not_large",
 				sup.MaxDiff(), r.cfg.Delta)
 		}
 		return
@@ -335,13 +335,13 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	// significant", never as pass.
 	if err != nil || !(test.P < r.alpha) {
 		if r.tr.Enabled() {
-			r.tr.Prune(level, r.worker, childBox.Key(), "not_significant",
+			r.tr.Prune(level, r.worker, childBox, "not_significant",
 				test.P, r.alpha)
 		}
 		return
 	}
 	if r.tr.Enabled() {
-		r.tr.Emit(level, r.worker, childBox.Key(), score, test.Statistic, test.P, counts)
+		r.tr.Emit(level, r.worker, childBox, score, test.Statistic, test.P, counts)
 	}
 	c := pattern.Contrast{
 		Set:      childBox,
@@ -500,7 +500,7 @@ func (r *sdadRun) tryMerge(a, b pattern.Contrast) (pattern.Contrast, bool) {
 	}
 	if simP < r.alpha {
 		if r.tr.Enabled() {
-			r.tr.Merge(r.worker, merged.Key(), "reject_similarity", simP, 0)
+			r.tr.Merge(r.worker, merged, "reject_similarity", simP, 0)
 		}
 		return pattern.Contrast{}, false // significantly different: keep split
 	}
@@ -512,7 +512,7 @@ func (r *sdadRun) tryMerge(a, b pattern.Contrast) (pattern.Contrast, bool) {
 	sup := pattern.CountsToSupports(counts, r.sizes)
 	if sup.MaxDiff() <= r.cfg.Delta {
 		if r.tr.Enabled() {
-			r.tr.Merge(r.worker, merged.Key(), "reject_largeness", simP, sup.MaxDiff())
+			r.tr.Merge(r.worker, merged, "reject_largeness", simP, sup.MaxDiff())
 		}
 		return pattern.Contrast{}, false
 	}
@@ -520,12 +520,12 @@ func (r *sdadRun) tryMerge(a, b pattern.Contrast) (pattern.Contrast, bool) {
 	// NaN-safe: a NaN P-value must not let a merge through.
 	if err != nil || !(test.P < r.alpha) {
 		if r.tr.Enabled() {
-			r.tr.Merge(r.worker, merged.Key(), "reject_significance", simP, sup.MaxDiff())
+			r.tr.Merge(r.worker, merged, "reject_significance", simP, sup.MaxDiff())
 		}
 		return pattern.Contrast{}, false
 	}
 	if r.tr.Enabled() {
-		r.tr.Merge(r.worker, merged.Key(), "merged", simP, sup.MaxDiff())
+		r.tr.Merge(r.worker, merged, "merged", simP, sup.MaxDiff())
 	}
 	return pattern.Contrast{
 		Set:      merged,

@@ -107,7 +107,7 @@ func baselineDigest(res engine.Result) string {
 	}
 	for _, e := range res.Trace.Events {
 		fmt.Fprintf(&b, "event %s level=%d key=%q arg=%q v=%s,%s,%s counts=%s\n",
-			e.Kind, e.Level, e.Key, e.Arg, fmtValue(e.V1), fmtValue(e.V2), fmtValue(e.V3),
+			e.Kind, e.Level, e.Key(), e.Arg, fmtValue(e.V1), fmtValue(e.V2), fmtValue(e.V3),
 			strings.Trim(fmt.Sprint(e.GroupCounts()), "[]"))
 	}
 	return b.String()

@@ -53,10 +53,7 @@ func TestMinDeviationTracesMaxSupport(t *testing.T) {
 			if e.Kind != trace.KindPrune || e.Arg != metrics.PruneMinDeviation.String() {
 				continue
 			}
-			set, err := pattern.ParseKey(e.Key)
-			if err != nil {
-				t.Fatalf("%s: %v", alg, err)
-			}
+			set := e.Set
 			sup := pattern.SupportsOf(set, data.All())
 			max := 0.0
 			for g := 0; g < sup.Groups(); g++ {

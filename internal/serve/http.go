@@ -405,6 +405,9 @@ type explainResponse struct {
 	Verdict string `json:"verdict"`
 	Events  int    `json:"events"`
 	Subset  int    `json:"subset_events,omitempty"`
+	// Dropped is the number of events the job's trace dropped on
+	// overflow; when it is set, the verdict may rest on a cut-short chain.
+	Dropped uint64 `json:"dropped_events,omitempty"`
 	// Text is Explanation.Format's human rendering (attribute names
 	// resolved against the dataset).
 	Text string `json:"text"`
@@ -443,6 +446,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Verdict: x.Verdict,
 		Events:  len(x.Events),
 		Subset:  len(x.Subset),
+		Dropped: x.Dropped,
 		Text:    strings.TrimRight(x.Format(j.Dataset()), "\n"),
 	})
 }

@@ -886,3 +886,30 @@ func TestAlgorithmCacheEquivalence(t *testing.T) {
 		t.Fatalf("total executions = %d, want 3", got)
 	}
 }
+
+// TestExplainReportsDroppedEvents: a job whose trace overflowed the
+// default ring says so on /explain — the dropped count in the JSON, and
+// "incomplete" rather than "unseen" for a pattern with no events left.
+func TestExplainReportsDroppedEvents(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 1})
+	dsID := c.register(heavyCSV(300, 8))
+	st, code, body := c.submit(map[string]any{"dataset_id": dsID,
+		"config": map[string]any{"algorithm": "subgroup", "max_depth": 3}})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	if final := c.waitState(st.ID, JobDone, 30*time.Second); final.State != JobDone {
+		t.Fatalf("job state %s", final.State)
+	}
+	code, body = c.do("GET", "/v1/jobs/"+st.ID+"/explain?key="+url.QueryEscape("0@-inf,-1000|7@1000,inf"), nil)
+	if code != http.StatusOK {
+		t.Fatalf("explain: %d %s", code, body)
+	}
+	var ex explainResponse
+	if err := json.Unmarshal(body, &ex); err != nil {
+		t.Fatal(err)
+	}
+	if ex.Dropped == 0 || ex.Verdict != fmt.Sprintf("incomplete (%d events dropped)", ex.Dropped) {
+		t.Errorf("explain = %s, want an incomplete verdict with its dropped count", body)
+	}
+}

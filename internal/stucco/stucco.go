@@ -212,7 +212,7 @@ func (m *miner) evaluate(level int, frontier []node, alpha float64) ([]node, int
 		m.res.Candidates++
 		sup := nd.supports
 		if m.tr.Enabled() {
-			m.tr.Node(level, 0, nd.set.Key(), sup.TotalCount(), sup.Count)
+			m.tr.Node(level, 0, nd.set, sup.TotalCount(), sup.Count)
 		}
 
 		// Record as a contrast when large and significant.
@@ -221,7 +221,7 @@ func (m *miner) evaluate(level int, frontier []node, alpha float64) ([]node, int
 		if sup.MaxDiff() > m.cfg.Delta && significant {
 			score := m.cfg.Measure.Eval(sup)
 			if m.tr.Enabled() {
-				m.tr.Emit(level, 0, nd.set.Key(), score, test.Statistic, test.P, sup.Count)
+				m.tr.Emit(level, 0, nd.set, score, test.Statistic, test.P, sup.Count)
 			}
 			if m.list.Add(pattern.Contrast{
 				Set:      nd.set,

@@ -241,7 +241,7 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 			c := &cands[i]
 			m.evaluated++
 			if m.tr.Enabled() {
-				m.tr.Node(level, 0, c.key, c.count, c.sup.Count)
+				m.tr.Node(level, 0, c.set, c.count, c.sup.Count)
 			}
 			if c.count < m.cfg.MinCoverage {
 				continue

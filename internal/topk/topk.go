@@ -83,11 +83,11 @@ func (l *List) Threshold() float64 {
 // entry when its score is higher. It reports whether the list changed.
 func (l *List) Add(c pattern.Contrast) bool {
 	if l.rec == nil && l.tr == nil {
-		changed, _, _ := l.add(c)
+		changed, _, _, _ := l.add(c)
 		return changed
 	}
 	before := l.Threshold()
-	changed, evicted, verdict := l.add(c)
+	changed, verdict, evicted, didEvict := l.add(c)
 	after := l.Threshold()
 	if l.rec != nil && changed && after != before {
 		l.rec.ThresholdUpdate(after)
@@ -95,11 +95,11 @@ func (l *List) Add(c pattern.Contrast) bool {
 	if l.tr.Enabled() {
 		if verdict == "rejected" {
 			// V2 carries the score that failed admission (see trace.KindTopK).
-			l.tr.TopK(c.Set.Key(), verdict, before, c.Score)
+			l.tr.TopK(c.Set, verdict, before, c.Score)
 		} else {
-			l.tr.TopK(c.Set.Key(), verdict, before, after)
+			l.tr.TopK(c.Set, verdict, before, after)
 		}
-		if evicted != "" {
+		if didEvict {
 			l.tr.TopK(evicted, "evicted", before, after)
 		}
 	}
@@ -107,23 +107,24 @@ func (l *List) Add(c pattern.Contrast) bool {
 }
 
 // add performs the list transition and names it in the KindTopK verdict
-// vocabulary; evicted is the key pushed out to make room (if any).
-func (l *List) add(c pattern.Contrast) (changed bool, evicted, verdict string) {
+// vocabulary; when didEvict is set, evicted is the itemset pushed out to
+// make room.
+func (l *List) add(c pattern.Contrast) (changed bool, verdict string, evicted pattern.Itemset, didEvict bool) {
 	// A NaN score is unordered against every threshold comparison below;
 	// admitting one would corrupt the heap invariant and poison the
 	// dynamic threshold. NaN contrasts are never admissible.
 	if math.IsNaN(c.Score) {
-		return false, "", "rejected"
+		return false, "rejected", pattern.Itemset{}, false
 	}
 	key := c.Set.Key()
 	if idx, ok := l.keys[key]; ok {
 		if c.Score <= l.h.items[idx].Score {
-			return false, "", "rejected"
+			return false, "rejected", pattern.Itemset{}, false
 		}
 		l.h.items[idx] = entry{Contrast: c, key: key}
 		heap.Fix(&l.h, idx)
 		l.reindex()
-		return true, "", "replaced"
+		return true, "replaced", pattern.Itemset{}, false
 	}
 	if l.k > 0 && len(l.h.items) >= l.k {
 		// Admit iff the candidate beats the worst stored entry under the
@@ -134,22 +135,22 @@ func (l *List) add(c pattern.Contrast) (changed bool, evicted, verdict string) {
 		// tied contrast arrived first keep the slot.
 		root := &l.h.items[0]
 		if c.Score < root.Score || (c.Score == root.Score && key >= root.key) {
-			return false, "", "rejected"
+			return false, "rejected", pattern.Itemset{}, false
 		}
-		evicted = l.h.items[0].key
+		out := l.h.items[0]
 		l.h.items[0] = entry{Contrast: c, key: key}
-		delete(l.keys, evicted)
+		delete(l.keys, out.key)
 		l.keys[key] = 0
 		heap.Fix(&l.h, 0)
 		l.reindex()
-		return true, evicted, "admitted"
+		return true, "admitted", out.Set, true
 	}
 	if c.Score < l.delta {
-		return false, "", "rejected"
+		return false, "rejected", pattern.Itemset{}, false
 	}
 	heap.Push(&l.h, entry{Contrast: c, key: key})
 	l.reindex()
-	return true, "", "admitted"
+	return true, "admitted", pattern.Itemset{}, false
 }
 
 // reindex rebuilds the key -> heap index map after heap movement. The heap

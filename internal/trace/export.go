@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+
+	"sdadcs/internal/pattern"
 )
 
 // wireFloat is a float64 that survives JSON encoding of non-finite
@@ -99,7 +101,7 @@ func toWire(e *Event) wireEvent {
 		Kind:   e.Kind.String(),
 		Level:  e.Level,
 		Worker: e.Worker,
-		Key:    e.Key,
+		Key:    e.Key(),
 		Arg:    e.Arg,
 		V1:     optFloat(e.V1),
 		V2:     optFloat(e.V2),
@@ -123,7 +125,6 @@ func fromWire(w *wireEvent) (Event, error) {
 		Kind:   k,
 		Level:  w.Level,
 		Worker: w.Worker,
-		Key:    w.Key,
 		Arg:    w.Arg,
 		V1:     w.V1.value(),
 		V2:     w.V2.value(),
@@ -135,6 +136,13 @@ func fromWire(w *wireEvent) (Event, error) {
 	}
 	copy(e.Counts[:], w.Counts)
 	e.NG = uint8(len(w.Counts))
+	if w.Key != "" {
+		set, err := pattern.ParseKey(w.Key)
+		if err != nil {
+			return Event{}, fmt.Errorf("trace: event %d: %w", w.Seq, err)
+		}
+		e.Set = set
+	}
 	return e, nil
 }
 
@@ -154,7 +162,8 @@ func WriteJSONL(w io.Writer, tr *Trace) error {
 }
 
 // ReadJSONL decodes a JSONL stream produced by WriteJSONL (possibly the
-// concatenation of several segments). Volume counters are not part of the
+// concatenation of several segments), rebuilding each event's itemset
+// from its key; a key that does not parse is a decode error. Volume counters are not part of the
 // wire format; the returned trace carries the decoded events only.
 func ReadJSONL(r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(r)
@@ -222,8 +231,8 @@ func toChrome(e *Event) chromeEvent {
 			"seq": e.Seq,
 		},
 	}
-	if e.Key != "" {
-		ce.Args["key"] = e.Key
+	if key := e.Key(); key != "" {
+		ce.Args["key"] = key
 	}
 	if e.Arg != "" {
 		ce.Args["arg"] = e.Arg

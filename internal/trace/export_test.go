@@ -7,20 +7,22 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sdadcs/internal/pattern"
 )
 
 // sampleTracer builds a tracer with one event of every emitter shape.
 func sampleTracer() *Tracer {
 	tr := New(64)
-	tr.SDAD(tr.Now(), 0, "", 100, 2*time.Millisecond)
-	tr.Node(1, 0, "0=1", 30, []int{10, 20})
-	tr.Prune(2, 1, "0=1|1=2", "lookup_table:0=1", 0, 0)
-	tr.Split(1, 0, "2@0,8p-1", "width", 3.25, math.Inf(-1), 4) // open lower bound
-	tr.Space(2, 0, "2@0,13p-2", 17, []int{9, 8})
-	tr.Merge(0, "2@0,13p-2", "merged", 0.72, 0.31)
-	tr.Emit(2, 1, "0=1|1=2", 0.4, 12.5, 0.0004, []int{25, 5})
-	tr.TopK("0=1|1=2", "admitted", 0.1, 0.2)
-	tr.Filter("0=1|1=2", "kept", 0.4)
+	tr.SDAD(tr.Now(), 0, pattern.Itemset{}, 100, 2*time.Millisecond)
+	tr.Node(1, 0, set("0=1"), 30, []int{10, 20})
+	tr.Prune(2, 1, set("0=1|1=2"), "lookup_table:0=1", 0, 0)
+	tr.Split(1, 0, set("2@0,8p-1"), "width", 3.25, math.Inf(-1), 4) // open lower bound
+	tr.Space(2, 0, set("2@0,13p-2"), 17, []int{9, 8})
+	tr.Merge(0, set("2@0,13p-2"), "merged", 0.72, 0.31)
+	tr.Emit(2, 1, set("0=1|1=2"), 0.4, 12.5, 0.0004, []int{25, 5})
+	tr.TopK(set("0=1|1=2"), "admitted", 0.1, 0.2)
+	tr.Filter(set("0=1|1=2"), "kept", 0.4)
 	tr.Level(tr.Now(), 1, 12, 7, 3*time.Millisecond)
 	tr.Remine(tr.Now(), 2000, 9, 5*time.Millisecond)
 	return tr
@@ -43,7 +45,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d events, want %d", len(back.Events), len(snap.Events))
 	}
 	for i := range snap.Events {
-		if snap.Events[i] != back.Events[i] {
+		if !sameEvent(&snap.Events[i], &back.Events[i]) {
 			t.Errorf("event %d drifted:\n  out: %+v\n  in:  %+v",
 				i, snap.Events[i], back.Events[i])
 		}
@@ -79,12 +81,12 @@ func TestJSONLDeterministicBytes(t *testing.T) {
 func TestReadJSONLConcatenatedSegments(t *testing.T) {
 	tr := New(8)
 	var buf bytes.Buffer
-	tr.Filter("a", "kept", 1)
+	tr.Filter(set("0=1"), "kept", 1)
 	if err := WriteJSONL(&buf, tr.Drain()); err != nil {
 		t.Fatal(err)
 	}
-	tr.Filter("b", "redundant", 2)
-	tr.Filter("c", "kept", 3)
+	tr.Filter(set("0=2"), "redundant", 2)
+	tr.Filter(set("0=3"), "kept", 3)
 	if err := WriteJSONL(&buf, tr.Drain()); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestReadJSONLConcatenatedSegments(t *testing.T) {
 	if len(back.Events) != 3 {
 		t.Fatalf("decoded %d events, want 3", len(back.Events))
 	}
-	if back.Events[0].Key != "a" || back.Events[2].Key != "c" {
+	if back.Events[0].Key() != "0=1" || back.Events[2].Key() != "0=3" {
 		t.Errorf("segment order broken: %+v", back.Events)
 	}
 }
@@ -110,6 +112,9 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	long := `{"seq":1,"ts_ns":0,"kind":"node","counts":[1,2,3,4,5,6,7,8,9]}` + "\n"
 	if _, err := ReadJSONL(strings.NewReader(long)); err == nil {
 		t.Error("oversized counts must error")
+	}
+	if _, err := ReadJSONL(strings.NewReader(`{"seq":1,"ts_ns":0,"kind":"node","key":"a"}` + "\n")); err == nil {
+		t.Error("a key that does not parse must error")
 	}
 }
 
@@ -166,7 +171,7 @@ func TestWriteChromeValidFormat(t *testing.T) {
 // in pid 1 with tid = worker index.
 func TestChromeWorkerBecomesTID(t *testing.T) {
 	tr := New(8)
-	tr.Node(1, 3, "k", 5, nil)
+	tr.Node(1, 3, set("0=1"), 5, nil)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, tr.Snapshot()); err != nil {
 		t.Fatal(err)

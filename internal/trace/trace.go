@@ -9,16 +9,22 @@
 // metrics.Recorder: a nil *Tracer is a valid, disabled tracer whose
 // methods return after one pointer check and allocate nothing (see
 // TestDisabledTracerAllocs). Hot call sites additionally guard payload
-// construction with Enabled(), so the disabled path never formats a key
-// or copies a support slice.
+// construction with Enabled(), so the disabled path never builds an
+// argument string or copies a support slice.
 //
-// Events land in a fixed-capacity, lock-free buffer: emitters claim a slot
+// An event carries the itemset it is about, not its canonical key: the
+// key is formatted only where a trace is read (Event.Key, the exports and
+// the explain path), so a traced mine formats no key for the events
+// nobody reads.
+//
+// Events land in a fixed-capacity, lock-free ring: emitters claim a slot
 // with one atomic fetch-add and publish with one atomic store, so tracing
 // never blocks the miner and is safe from any number of worker goroutines.
-// When the buffer is full, new events are dropped and counted — the
-// discard policy standard trace recorders use under overload — which also
-// preserves the *early* decisions of a run, exactly the ones pattern
-// provenance needs.
+// The ring is allocated a page at a time as tickets reach it, so a run
+// pays memory for the events it records, not for the capacity. When the
+// ring is full, new events are dropped and counted — the discard policy
+// standard trace recorders use under overload — which also preserves the
+// *early* decisions of a run, exactly the ones pattern provenance needs.
 //
 // Snapshots export two ways: JSONL (one event per line, fixed field
 // order — see WriteJSONL) and the Chrome trace-event format (WriteChrome;
@@ -28,8 +34,11 @@
 package trace
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"sdadcs/internal/pattern"
 )
 
 // Kind enumerates traced decision points. The names (see String) are the
@@ -42,44 +51,44 @@ const (
 	// KindLevel spans one levelwise search level. V1 = frontier size,
 	// V2 = survivors, V3 = wall nanoseconds. TS is the level's start.
 	KindLevel Kind = iota
-	// KindNode records one frontier node evaluation: Key = itemset,
+	// KindNode records one frontier node evaluation: Set = itemset,
 	// Level, Worker, Counts = per-group supports, V1 = covered rows.
 	KindNode
-	// KindPrune records one negative decision about a pattern: Key =
+	// KindPrune records one negative decision about a pattern: Set =
 	// itemset, Arg = rule name (the metrics.PruneRule strings, optionally
 	// suffixed ":<subset key>" for provenance-carrying rules, plus the
 	// terminal decision labels "not_large" / "not_significant" /
 	// "superseded_by_children"), V1 = observed statistic, V2 = the bound
 	// it was compared against.
 	KindPrune
-	// KindSDAD spans one SDAD-CS (Algorithm 1) invocation: Key = the
+	// KindSDAD spans one SDAD-CS (Algorithm 1) invocation: Set = the
 	// categorical context, V1 = cover rows, V3 = wall nanoseconds.
 	// TS is the call's start.
 	KindSDAD
-	// KindSplit records one median split decision: Key = parent box,
+	// KindSplit records one median split decision: Set = parent box,
 	// Arg = attribute name, Level = recursion depth, V1 = median,
 	// V2/V3 = the box's (Lo, Hi] bounds on that attribute.
 	KindSplit
 	// KindSpace records one SDAD-CS partition box evaluation:
-	// Key = box itemset, Level = recursion depth, Counts = per-group
+	// Set = box itemset, Level = recursion depth, Counts = per-group
 	// supports, V1 = rows in the box.
 	KindSpace
 	// KindMerge records one bottom-up merge decision between contiguous
-	// spaces: Key = the union box, Arg = verdict ("merged",
+	// spaces: Set = the union box, Arg = verdict ("merged",
 	// "reject_similarity", "reject_largeness", "reject_significance"),
 	// V1 = the similarity chi-square p-value, V2 = the merged support
 	// difference (when computed).
 	KindMerge
 	// KindEmit records a contrast entering the candidate stream:
-	// Key = itemset, V1 = score, V2 = chi-square statistic, V3 = p-value,
+	// Set = itemset, V1 = score, V2 = chi-square statistic, V3 = p-value,
 	// Counts = per-group supports.
 	KindEmit
-	// KindTopK records top-k list dynamics: Key = the affected itemset,
+	// KindTopK records top-k list dynamics: Set = the affected itemset,
 	// Arg = "admitted" | "evicted" | "rejected" | "replaced",
 	// V1 = threshold before, V2 = threshold after (or the score that
 	// failed admission, for "rejected").
 	KindTopK
-	// KindFilter records the final meaningfulness verdict: Key = itemset,
+	// KindFilter records the final meaningfulness verdict: Set = itemset,
 	// Arg = "kept" | "redundant" | "unproductive" | "dependent:<superset
 	// key>", V1 = score.
 	KindFilter
@@ -137,9 +146,10 @@ func kindFromString(s string) (Kind, bool) {
 // allocate per event.
 const MaxGroups = 8
 
-// Event is one traced decision. Events are fixed-size values so the
-// buffer never allocates per emission; kind-specific payload semantics
-// are documented on the Kind constants.
+// Event is one traced decision. Events are fixed-size values so the ring
+// never allocates per emission; kind-specific payload semantics are
+// documented on the Kind constants. Events hold an itemset, so they do
+// not compare with ==.
 type Event struct {
 	// Seq is the emission ticket: a dense, per-tracer sequence number
 	// that orders events totally (assignment order, not publish order).
@@ -147,17 +157,14 @@ type Event struct {
 	// TS is nanoseconds since the tracer's epoch. Span kinds (level,
 	// sdad, remine) stamp their *start*; instant kinds stamp emission.
 	TS int64
-	// Kind is the decision point.
-	Kind Kind
 	// Level is the levelwise search level or SDAD-CS recursion depth.
 	Level int32
 	// Worker is the per-level worker goroutine index (0 when mining
 	// single-threaded); it becomes the tid in the Chrome export.
 	Worker int32
-	// Key is the canonical itemset key of the pattern the decision is
-	// about ("" for pattern-free events); pattern.ParseKey recovers the
-	// itemset.
-	Key string
+	// Set is the itemset the decision is about (empty for pattern-free
+	// events); Key formats its canonical key.
+	Set pattern.Itemset
 	// Arg is the kind-specific label: prune rule, merge/top-k/filter
 	// verdict, split attribute name.
 	Arg string
@@ -165,9 +172,15 @@ type Event struct {
 	V1, V2, V3 float64
 	// Counts holds the first NG per-group support counts.
 	Counts [MaxGroups]int32
+	// Kind is the decision point.
+	Kind Kind
 	// NG is the number of valid entries in Counts.
 	NG uint8
 }
+
+// Key returns the canonical key of the event's itemset ("" for
+// pattern-free events); pattern.ParseKey inverts it.
+func (e *Event) Key() string { return e.Set.Key() }
 
 // GroupCounts returns the event's per-group supports as a slice (nil when
 // the event carries none).
@@ -182,54 +195,98 @@ func (e *Event) GroupCounts() []int {
 	return out
 }
 
-// DefaultCapacity is the event-buffer size New uses when given 0:
-// 1<<16 events (~6 MiB) holds the complete decision record of the paper's
-// experimental runs with room to spare.
+// DefaultCapacity is the event capacity New uses when given 0: 1<<16
+// events hold the complete decision record of the paper's experimental
+// runs with room to spare. Full, the ring takes 8 MiB of events (128 B
+// each) plus 256 KiB of publish flags; it is allocated a page at a time,
+// so a run that records fewer events takes less.
 const DefaultCapacity = 1 << 16
+
+// pageShift sets the ring's page size: 1<<10 events (128 KiB) per page,
+// or the capacity rounded up to a power of two when that is smaller.
+const pageShift = 10
+
+// page is one slice of the ring. ready[i] flips 0→1 when events[i] is
+// fully written; Snapshot reads only published slots, so a snapshot taken
+// while emitters are still running never observes a torn event.
+type page struct {
+	events []Event
+	ready  []atomic.Uint32
+}
 
 // Tracer is the concurrency-safe decision-event sink. A nil *Tracer is
 // the disabled tracer: every method returns after one pointer check.
 // Construct with New.
+//
+// A tracer keeps the itemsets it is handed until its trace is dropped and
+// formats their keys only when the trace is read, so an itemset passed to
+// a Tracer method must never be mutated afterwards.
 type Tracer struct {
-	epoch time.Time
-	slots []Event
-	// ready[i] flips 0→1 when slots[i] is fully written; Snapshot only
-	// reads published slots, so a snapshot taken while emitters are
-	// still running never observes a torn event.
-	ready []atomic.Uint32
-	// next is the ticket counter; tickets >= len(slots) are drops.
+	epoch    time.Time
+	capacity uint64
+	// pages[p] holds tickets [p<<shift, (p+1)<<shift); nil until the
+	// first of them is claimed. Pages are installed under mu, so racing
+	// emitters share one page instead of each allocating their own.
+	pages []atomic.Pointer[page]
+	shift uint
+	mu    sync.Mutex
+	// next is the ticket counter; tickets >= capacity are drops.
 	next atomic.Uint64
 	// emitted/dropped are cumulative across Drain calls.
 	emitted atomic.Uint64
 	dropped atomic.Uint64
-	// highWater is the maximum buffer fill observed across Drain cycles.
+	// highWater is the maximum ring fill observed across Drain cycles.
 	highWater atomic.Uint64
 }
 
 // New returns an enabled tracer with the given event capacity
-// (0 = DefaultCapacity).
+// (0 = DefaultCapacity). No event memory is allocated until events are
+// recorded.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
+	shift := uint(0)
+	for shift < pageShift && 1<<shift < capacity {
+		shift++
+	}
+	pageLen := 1 << shift
 	return &Tracer{
-		epoch: time.Now(),
-		slots: make([]Event, capacity),
-		ready: make([]atomic.Uint32, capacity),
+		epoch:    time.Now(),
+		capacity: uint64(capacity),
+		pages:    make([]atomic.Pointer[page], (capacity+pageLen-1)/pageLen),
+		shift:    shift,
 	}
 }
 
+// page returns the page holding ticket, installing it on first use.
+func (t *Tracer) page(ticket uint64) *page {
+	slot := &t.pages[ticket>>t.shift]
+	if pg := slot.Load(); pg != nil {
+		return pg
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pg := slot.Load()
+	if pg == nil {
+		n := 1 << t.shift
+		pg = &page{events: make([]Event, n), ready: make([]atomic.Uint32, n)}
+		slot.Store(pg)
+	}
+	return pg
+}
+
 // Enabled reports whether the tracer records anything; hot call sites use
-// it to skip payload construction (key formatting, count copies) on the
+// it to skip payload construction (argument strings, count copies) on the
 // disabled path.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Capacity returns the event-buffer size (0 for a nil tracer).
+// Capacity returns the ring's event capacity (0 for a nil tracer).
 func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.slots)
+	return int(t.capacity)
 }
 
 // Now returns the nanoseconds-since-epoch timestamp span emitters capture
@@ -242,18 +299,20 @@ func (t *Tracer) Now() int64 {
 }
 
 // emitAt claims a ticket and publishes the event with the given
-// timestamp. Full buffer → drop + count, never block.
+// timestamp. Full ring → drop + count, never block.
 func (t *Tracer) emitAt(ts int64, ev Event) {
 	ticket := t.next.Add(1) - 1
 	t.emitted.Add(1)
-	if ticket >= uint64(len(t.slots)) {
+	if ticket >= t.capacity {
 		t.dropped.Add(1)
 		return
 	}
 	ev.Seq = ticket
 	ev.TS = ts
-	t.slots[ticket] = ev
-	t.ready[ticket].Store(1) // publish (atomic store orders the slot write)
+	pg := t.page(ticket)
+	i := ticket & (1<<t.shift - 1)
+	pg.events[i] = ev
+	pg.ready[i].Store(1) // publish (atomic store orders the slot write)
 }
 
 func (t *Tracer) emit(ev Event) { t.emitAt(int64(time.Since(t.epoch)), ev) }
@@ -286,87 +345,87 @@ func (t *Tracer) Level(startTS int64, level, frontier, survivors int, wall time.
 }
 
 // Node records one frontier-node evaluation.
-func (t *Tracer) Node(level, worker int, key string, rows int, counts []int) {
+func (t *Tracer) Node(level, worker int, set pattern.Itemset, rows int, counts []int) {
 	if t == nil {
 		return
 	}
-	ev := Event{Kind: KindNode, Level: int32(level), Worker: int32(worker), Key: key, V1: float64(rows)}
+	ev := Event{Kind: KindNode, Level: int32(level), Worker: int32(worker), Set: set, V1: float64(rows)}
 	putCounts(&ev, counts)
 	t.emit(ev)
 }
 
 // Prune records one pruning-rule firing with the observed statistic and
 // the bound it lost against.
-func (t *Tracer) Prune(level, worker int, key, rule string, observed, bound float64) {
+func (t *Tracer) Prune(level, worker int, set pattern.Itemset, rule string, observed, bound float64) {
 	if t == nil {
 		return
 	}
 	t.emit(Event{Kind: KindPrune, Level: int32(level), Worker: int32(worker),
-		Key: key, Arg: rule, V1: observed, V2: bound})
+		Set: set, Arg: rule, V1: observed, V2: bound})
 }
 
 // SDAD records one SDAD-CS invocation as a span starting at startTS.
-func (t *Tracer) SDAD(startTS int64, worker int, key string, rows int, wall time.Duration) {
+func (t *Tracer) SDAD(startTS int64, worker int, set pattern.Itemset, rows int, wall time.Duration) {
 	if t == nil {
 		return
 	}
-	t.emitAt(startTS, Event{Kind: KindSDAD, Worker: int32(worker), Key: key,
+	t.emitAt(startTS, Event{Kind: KindSDAD, Worker: int32(worker), Set: set,
 		V1: float64(rows), V3: float64(wall)})
 }
 
 // Split records one median-split decision within a box.
-func (t *Tracer) Split(level, worker int, key, attr string, median, lo, hi float64) {
+func (t *Tracer) Split(level, worker int, set pattern.Itemset, attr string, median, lo, hi float64) {
 	if t == nil {
 		return
 	}
 	t.emit(Event{Kind: KindSplit, Level: int32(level), Worker: int32(worker),
-		Key: key, Arg: attr, V1: median, V2: lo, V3: hi})
+		Set: set, Arg: attr, V1: median, V2: lo, V3: hi})
 }
 
 // Space records one SDAD-CS partition-box evaluation.
-func (t *Tracer) Space(level, worker int, key string, rows int, counts []int) {
+func (t *Tracer) Space(level, worker int, set pattern.Itemset, rows int, counts []int) {
 	if t == nil {
 		return
 	}
-	ev := Event{Kind: KindSpace, Level: int32(level), Worker: int32(worker), Key: key, V1: float64(rows)}
+	ev := Event{Kind: KindSpace, Level: int32(level), Worker: int32(worker), Set: set, V1: float64(rows)}
 	putCounts(&ev, counts)
 	t.emit(ev)
 }
 
 // Merge records one bottom-up merge decision (see KindMerge for the
 // verdict vocabulary).
-func (t *Tracer) Merge(worker int, key, verdict string, p, diff float64) {
+func (t *Tracer) Merge(worker int, set pattern.Itemset, verdict string, p, diff float64) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: KindMerge, Worker: int32(worker), Key: key, Arg: verdict, V1: p, V2: diff})
+	t.emit(Event{Kind: KindMerge, Worker: int32(worker), Set: set, Arg: verdict, V1: p, V2: diff})
 }
 
 // Emit records a contrast entering the candidate stream.
-func (t *Tracer) Emit(level, worker int, key string, score, chisq, p float64, counts []int) {
+func (t *Tracer) Emit(level, worker int, set pattern.Itemset, score, chisq, p float64, counts []int) {
 	if t == nil {
 		return
 	}
 	ev := Event{Kind: KindEmit, Level: int32(level), Worker: int32(worker),
-		Key: key, V1: score, V2: chisq, V3: p}
+		Set: set, V1: score, V2: chisq, V3: p}
 	putCounts(&ev, counts)
 	t.emit(ev)
 }
 
 // TopK records a top-k list transition for the given itemset.
-func (t *Tracer) TopK(key, verdict string, before, after float64) {
+func (t *Tracer) TopK(set pattern.Itemset, verdict string, before, after float64) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: KindTopK, Key: key, Arg: verdict, V1: before, V2: after})
+	t.emit(Event{Kind: KindTopK, Set: set, Arg: verdict, V1: before, V2: after})
 }
 
 // Filter records the final meaningfulness verdict for a contrast.
-func (t *Tracer) Filter(key, verdict string, score float64) {
+func (t *Tracer) Filter(set pattern.Itemset, verdict string, score float64) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: KindFilter, Key: key, Arg: verdict, V1: score})
+	t.emit(Event{Kind: KindFilter, Set: set, Arg: verdict, V1: score})
 }
 
 // Remine records one stream-monitor window re-mine as a span starting at
@@ -380,8 +439,8 @@ func (t *Tracer) Remine(startTS int64, rows, patterns int, wall time.Duration) {
 }
 
 // Stats reports the tracer's cumulative volume counters: events offered,
-// events dropped on overflow, and the buffer high-water mark. Safe to
-// call concurrently with emitters; a nil tracer reports zeros.
+// events dropped on overflow, and the ring high-water mark. Safe to call
+// concurrently with emitters; a nil tracer reports zeros.
 func (t *Tracer) Stats() (emitted, dropped uint64, highWater int) {
 	if t == nil {
 		return 0, 0, 0
@@ -389,12 +448,14 @@ func (t *Tracer) Stats() (emitted, dropped uint64, highWater int) {
 	return t.emitted.Load(), t.dropped.Load(), int(t.fillHighWater())
 }
 
+// fill returns the number of claimed slots, at most the capacity.
+func (t *Tracer) fill() uint64 {
+	return min(t.next.Load(), t.capacity)
+}
+
 // fillHighWater folds the current fill into the cross-Drain maximum.
 func (t *Tracer) fillHighWater() uint64 {
-	fill := t.next.Load()
-	if fill > uint64(len(t.slots)) {
-		fill = uint64(len(t.slots))
-	}
+	fill := t.fill()
 	for {
 		cur := t.highWater.Load()
 		if fill <= cur {
@@ -406,59 +467,79 @@ func (t *Tracer) fillHighWater() uint64 {
 	}
 }
 
-// Trace is a snapshot of a tracer's buffer plus its volume counters — the
+// Trace is a snapshot of a tracer's ring plus its volume counters — the
 // value attached to core.Result.Trace and consumed by the exporters and
 // the provenance index.
 type Trace struct {
 	// Events holds the published events in sequence order.
 	Events []Event
 	// Emitted counts events offered over the tracer's lifetime
-	// (including dropped ones); Dropped counts buffer-full discards.
+	// (including dropped ones); Dropped counts ring-full discards.
 	Emitted, Dropped uint64
-	// HighWater is the maximum buffer fill observed; Capacity the buffer
-	// size.
+	// HighWater is the maximum ring fill observed; Capacity the ring's
+	// event capacity.
 	HighWater, Capacity int
 }
 
-// Snapshot copies the published events. It is safe while emitters are
-// running (unpublished slots are skipped); for a complete record call it
-// after mining returns. A nil tracer yields an empty trace.
+// Snapshot copies the published events, once, into a slice of exactly
+// their number. It is safe while emitters are running (unpublished slots
+// are skipped); for a complete record call it after mining returns. A nil
+// tracer yields an empty trace.
 func (t *Tracer) Snapshot() *Trace {
 	if t == nil {
 		return &Trace{}
 	}
-	fill := t.next.Load()
-	if fill > uint64(len(t.slots)) {
-		fill = uint64(len(t.slots))
-	}
+	fill := t.fill()
 	tr := &Trace{
 		Emitted:   t.emitted.Load(),
 		Dropped:   t.dropped.Load(),
 		HighWater: int(t.fillHighWater()),
-		Capacity:  len(t.slots),
+		Capacity:  int(t.capacity),
 	}
-	tr.Events = make([]Event, 0, fill)
-	for i := uint64(0); i < fill; i++ {
-		if t.ready[i].Load() == 1 {
-			tr.Events = append(tr.Events, t.slots[i])
+	n := 0
+	t.published(fill, func(*Event) { n++ })
+	// Slots only turn published between the passes, so the second one
+	// finds at least n events; the first n of them are a consistent set.
+	tr.Events = make([]Event, 0, n)
+	t.published(fill, func(e *Event) {
+		if len(tr.Events) < n {
+			tr.Events = append(tr.Events, *e)
 		}
-	}
+	})
 	return tr
 }
 
-// Drain snapshots the buffer and resets it for reuse, keeping the
-// cumulative Emitted/Dropped/HighWater counters — the per-window segment
-// primitive cmd/monitor uses between re-mines. Unlike Snapshot, Drain
-// must not race with emitters (quiesce the miner first; the stream
-// monitor is single-threaded between re-mines, which is the intended
-// call point).
+// published calls f with every published event among the first fill
+// tickets, in ticket order.
+func (t *Tracer) published(fill uint64, f func(*Event)) {
+	pageLen := uint64(1) << t.shift
+	for start := uint64(0); start < fill; start += pageLen {
+		pg := t.pages[start>>t.shift].Load()
+		if pg == nil {
+			continue // claimed, but its page is not installed yet
+		}
+		for i := uint64(0); i < pageLen && start+i < fill; i++ {
+			if pg.ready[i].Load() == 1 {
+				f(&pg.events[i])
+			}
+		}
+	}
+}
+
+// Drain snapshots the ring and resets it for reuse, keeping the
+// cumulative Emitted/Dropped/HighWater counters and the installed pages —
+// the per-window segment primitive cmd/monitor uses between re-mines.
+// Unlike Snapshot, Drain must not race with emitters (quiesce the miner
+// first; the stream monitor is single-threaded between re-mines, which is
+// the intended call point).
 func (t *Tracer) Drain() *Trace {
 	if t == nil {
 		return &Trace{}
 	}
 	tr := t.Snapshot()
 	for i := range tr.Events {
-		t.ready[tr.Events[i].Seq].Store(0)
+		seq := tr.Events[i].Seq
+		t.pages[seq>>t.shift].Load().ready[seq&(1<<t.shift-1)].Store(0)
 	}
 	t.next.Store(0)
 	return tr
