@@ -22,7 +22,7 @@ const allocTolerance = 0.005
 
 // TestAllocRatchet pins the allocations per call of the two benchmark
 // mine shapes at one worker, of the continuous shape mined with a
-// default-capacity decision tracer (as every serve job is), and of loading
+// default-capacity decision tracer (as a serve job's trace replay is), and of loading
 // the categorical shape from CSV against testdata/allocs.txt. Allocation counts, unlike wall times, do
 // not vary between runs, so a regression fails here on every push. Map
 // internals change the counts between Go releases, so the file names the

@@ -14,22 +14,28 @@ import (
 // mineOutput is everything one Mine execution produced that later requests
 // may want: the deterministic report bytes (byte-identical across cache
 // hits — pinned by the report golden test), the contrast count, the run
-// statistics, the trace/metrics snapshots backing the /trace, /explain
-// and progress endpoints of deduplicated or cache-hit jobs, and — for the
-// globally-discretizing algorithms — the binned dataset the contrasts'
-// items refer to.
+// statistics and metrics snapshot, and — for the globally-discretizing
+// algorithms — the binned dataset the contrasts' items refer to. The
+// decision trace is derived on first read (Manager.traceOf) and memoized
+// in trace.
 type mineOutput struct {
 	JSON      []byte
 	Contrasts int
 	Stats     core.Stats
-	Trace     *trace.Trace
 	Metrics   *metrics.Snapshot
 	Binned    *dataset.Dataset
+
+	// traceLock guards trace. It is a one-slot channel rather than a
+	// sync.Mutex so that a reader queued behind a running replay can
+	// give up when its request ends.
+	traceLock chan struct{}
+	trace     *trace.Trace
 }
 
 // resultCache maps (dataset hash, canonical config hash) to mineOutput,
-// LRU-bounded by entry count. Everything stored is immutable after
-// insertion, so readers share entries without copying.
+// LRU-bounded by entry count. An entry's fields are immutable after
+// insertion, apart from the trace memo behind its own lock, so readers
+// share entries without copying.
 type resultCache struct {
 	mu        sync.Mutex
 	max       int

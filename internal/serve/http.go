@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -175,8 +176,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //	GET    /v1/jobs/{id}              job status + live progress
 //	DELETE /v1/jobs/{id}              cancel a job
 //	GET    /v1/jobs/{id}/result       deterministic report JSON (409 until done)
-//	GET    /v1/jobs/{id}/trace        decision trace as JSON Lines
-//	GET    /v1/jobs/{id}/explain?key= pattern provenance (core.Explain)
+//	GET    /v1/jobs/{id}/trace        decision trace as JSON Lines (409/410 until done; replayed on first read)
+//	GET    /v1/jobs/{id}/explain?key= pattern provenance (core.Explain; 409/410 until done)
 //	GET    /v1/metrics                serve counters + live mining snapshots (JSON)
 //	GET    /metrics/prometheus        the same read as Prometheus text exposition
 //	/debug/pprof/...                  profiling (only with Options.EnablePprof)
@@ -358,17 +359,18 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Status())
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+// doneJob resolves the path's job and its output. A job that is not done
+// answers 409 with Retry-After while pending or running, and 410 once
+// failed or canceled.
+func (s *Server) doneJob(w http.ResponseWriter, r *http.Request) (*Job, *mineOutput, bool) {
 	j, ok := s.job(w, r)
 	if !ok {
-		return
+		return nil, nil, false
 	}
 	out, state, err := j.Output()
 	switch state {
 	case JobDone:
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(out.JSON)
+		return j, out, true
 	case JobFailed, JobCanceled:
 		writeJSON(w, http.StatusGone, errorBody{
 			Error: fmt.Sprintf("job %s: %s (%v)", j.ID, state, err),
@@ -379,19 +381,40 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("job %s still %s", j.ID, state),
 		})
 	}
+	return nil, nil, false
+}
+
+// jobTrace returns a done job's decision trace, replaying the job on
+// first read. A replay cut short by the request or the job's timeout
+// answers 503; a failed or mismatched one 500.
+func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request, j *Job, out *mineOutput) (*trace.Trace, bool) {
+	tr, err := s.mgr.traceOf(r.Context(), j, out)
+	switch {
+	case err == nil:
+		return tr, true
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("replaying job %s for its trace: %w", j.ID, err))
+	default:
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("replaying job %s for its trace: %w", j.ID, err))
+	}
+	return nil, false
+}
+
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	if _, out, ok := s.doneJob(w, r); ok {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(out.JSON)
+	}
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
+	j, out, ok := s.doneJob(w, r)
 	if !ok {
 		return
 	}
-	tr := j.TraceSnapshot()
-	if tr == nil {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: fmt.Sprintf("job %s has not started", j.ID),
-		})
+	tr, ok := s.jobTrace(w, r, j, out)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
@@ -414,7 +437,7 @@ type explainResponse struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
+	j, out, ok := s.doneJob(w, r)
 	if !ok {
 		return
 	}
@@ -428,16 +451,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing key: %w", err))
 		return
 	}
+	// A key that does not fit the dataset is refused before it costs a
+	// replay.
 	if err := keyFits(key, set, j.Dataset()); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tr := j.TraceSnapshot()
-	if tr == nil {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: fmt.Sprintf("job %s has not started", j.ID),
-		})
+	tr, ok := s.jobTrace(w, r, j, out)
+	if !ok {
 		return
 	}
 	x := core.Explain(tr, set)

@@ -51,6 +51,9 @@ var (
 	// errLeaderAborted lands on deduplicated followers whose shared
 	// execution was canceled or failed.
 	errLeaderAborted = errors.New("serve: deduplicated execution aborted")
+	// errReplayMismatch fails a trace read whose re-mine rendered a
+	// different result than the job's.
+	errReplayMismatch = errors.New("serve: trace replay rendered a different result")
 )
 
 // Job is one submitted mine. All mutable fields are guarded by mu; the
@@ -79,12 +82,7 @@ type Job struct {
 	deduped  bool              // follower of another job's execution
 	cacheHit bool              // served from the result cache without any execution
 	rec      *metrics.Recorder // live while running
-	tr       *trace.Tracer     // live while running
 	out      *mineOutput       // set when done
-	// final is the trace frozen at a terminal state the output does not
-	// carry one for (failed and canceled runs), so the live ring can be
-	// released.
-	final *trace.Trace
 }
 
 // JobProgress is the live view of a running mine, distilled from the
@@ -96,7 +94,6 @@ type JobProgress struct {
 	SpacesPruned   int64   `json:"spaces_pruned"`
 	SDADCalls      int64   `json:"sdad_calls"`
 	Threshold      float64 `json:"threshold"`
-	TraceEvents    uint64  `json:"trace_events"`
 }
 
 // JobStatus is the JSON view of a job.
@@ -147,11 +144,10 @@ func (j *Job) Status() JobStatus {
 	if j.state == JobRunning && j.rec != nil {
 		s := j.rec.Snapshot()
 		p := &JobProgress{
-			LevelsDone:  len(s.Levels),
-			MaxDepth:    j.cfg.ResolvedMaxDepth(),
-			SDADCalls:   s.SDADCalls,
-			Threshold:   s.Threshold,
-			TraceEvents: s.TraceEvents,
+			LevelsDone: len(s.Levels),
+			MaxDepth:   j.cfg.ResolvedMaxDepth(),
+			SDADCalls:  s.SDADCalls,
+			Threshold:  s.Threshold,
 		}
 		for _, lv := range s.Levels {
 			p.NodesEvaluated += lv.Nodes
@@ -174,25 +170,6 @@ func (j *Job) Output() (*mineOutput, JobState, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.out, j.state, j.err
-}
-
-// TraceSnapshot returns the decision trace: the final snapshot for
-// finished jobs, a live snapshot for running ones, nil before the job
-// started.
-func (j *Job) TraceSnapshot() *trace.Trace {
-	j.mu.Lock()
-	out, final, tr := j.out, j.final, j.tr
-	j.mu.Unlock()
-	if out != nil && out.Trace != nil {
-		return out.Trace
-	}
-	if final != nil {
-		return final
-	}
-	if tr != nil {
-		return tr.Snapshot() // lock-free ring: safe while mining
-	}
-	return nil
 }
 
 // Dataset returns the dataset explanations should be rendered against:
@@ -234,12 +211,6 @@ func (j *Job) finish(out *mineOutput, err error, c *counters) {
 	}
 	j.finished = time.Now().UTC()
 	j.rec = nil
-	if j.tr != nil && (out == nil || out.Trace == nil) {
-		// The mine has returned, so the ring is quiescent: freezing it
-		// now serves the same events the live ring would.
-		j.final = j.tr.Snapshot()
-	}
-	j.tr = nil // a retained job must not pin the tracer's ring
 	switch {
 	case err == nil:
 		j.state = JobDone
@@ -312,6 +283,7 @@ type Manager struct {
 	log            *slog.Logger // component serve.jobs
 	mineLog        *slog.Logger // component engine, carried into mine contexts
 	queueWait      metrics.Histogram
+	replaySlots    chan struct{} // one token per running trace replay
 
 	totalsMu sync.Mutex
 	totals   map[string]*algTotals // by algorithm
@@ -351,6 +323,7 @@ func newManager(reg *Registry, cache *resultCache, workers, queueDepth int, defa
 		baseCancel:     cancel,
 		jobs:           make(map[string]*Job),
 		inflight:       make(map[string]*flight),
+		replaySlots:    make(chan struct{}, workers),
 	}
 	for w := 0; w < workers; w++ {
 		m.wg.Add(1)
@@ -536,8 +509,8 @@ func (m *Manager) worker() {
 }
 
 // mine executes the engine call with panic isolation: a panicking
-// algorithm marks this one job failed (stack preserved in the log, the
-// job_panics counter incremented) instead of unwinding the worker
+// algorithm fails this one job or trace replay (stack preserved in the
+// log, the job_panics counter incremented) instead of unwinding the
 // goroutine and killing the process.
 func (m *Manager) mine(ctx context.Context, job *Job, cfg engine.Config) (res engine.Result, err error) {
 	defer func() {
@@ -551,7 +524,6 @@ func (m *Manager) mine(ctx context.Context, job *Job, cfg engine.Config) (res en
 			err = fmt.Errorf("serve: job panicked: %v", p)
 		}
 	}()
-	m.counters.mineExecutions.Add(1)
 	return engine.MineContext(ctx, job.ds, cfg)
 }
 
@@ -563,7 +535,6 @@ func (m *Manager) runJob(job *Job) {
 		return
 	}
 	rec := metrics.New()
-	tr := trace.New(0)
 	job.mu.Lock()
 	if job.state.Terminal() { // canceled between the ctx check and here
 		job.mu.Unlock()
@@ -574,7 +545,6 @@ func (m *Manager) runJob(job *Job) {
 	job.started = time.Now().UTC()
 	wait := job.started.Sub(job.created)
 	job.rec = rec
-	job.tr = tr
 	m.counters.jobsRunning.Add(1)
 	job.mu.Unlock()
 	defer m.counters.jobsRunning.Add(-1)
@@ -586,7 +556,6 @@ func (m *Manager) runJob(job *Job) {
 
 	cfg := job.cfg
 	cfg.Metrics = rec
-	cfg.Trace = tr
 
 	runCtx := job.ctx
 	if job.timeout > 0 {
@@ -596,6 +565,7 @@ func (m *Manager) runJob(job *Job) {
 	}
 
 	mineStart := time.Now()
+	m.counters.mineExecutions.Add(1)
 	res, err := m.mine(runCtx, job, cfg)
 	m.observeMine(job.cfg.AlgorithmName(), rec.Snapshot(), time.Since(mineStart))
 	if err != nil {
@@ -603,27 +573,101 @@ func (m *Manager) runJob(job *Job) {
 		return
 	}
 
-	// Globally-discretizing algorithms (mvd, entropy) emit contrasts whose
-	// items refer to the binned view, so render against it when present.
-	renderDS := job.ds
-	if res.Binned != nil {
-		renderDS = res.Binned
-	}
-	var buf bytes.Buffer
-	if rerr := report.JSON(&buf, renderDS, res.Contrasts); rerr != nil {
-		m.finishFlight(job, nil, fmt.Errorf("serve: rendering result: %w", rerr))
+	body, err := render(job, res)
+	if err != nil {
+		m.finishFlight(job, nil, err)
 		return
 	}
 	out := &mineOutput{
-		JSON:      buf.Bytes(),
+		JSON:      body,
 		Contrasts: len(res.Contrasts),
 		Stats:     res.Stats,
-		Trace:     res.Trace,
 		Metrics:   res.Metrics,
 		Binned:    res.Binned,
+		traceLock: make(chan struct{}, 1),
 	}
 	m.cache.put(job.key, out)
 	m.finishFlight(job, out, nil)
+}
+
+// render encodes a mine's contrasts as the job's report JSON. Globally-
+// discretizing algorithms (mvd, entropy) emit contrasts whose items refer
+// to the binned view, so they render against it.
+func render(job *Job, res engine.Result) ([]byte, error) {
+	d := job.ds
+	if res.Binned != nil {
+		d = res.Binned
+	}
+	var buf bytes.Buffer
+	if err := report.JSON(&buf, d, res.Contrasts); err != nil {
+		return nil, fmt.Errorf("serve: rendering result: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// traceOf returns a done job's decision trace. Jobs mine untraced, so the
+// first read re-mines the job's dataset and config with a tracer: mining
+// is deterministic, so the re-mine takes the same decisions, and it must
+// render the job's result byte for byte or the read fails with
+// errReplayMismatch. The trace is memoized on the shared output, so a
+// leader, its followers and later cache hits replay at most once between
+// them. Reads wait for the memo and for one of the pool's replay slots
+// under ctx; a replay cut short by ctx (the client went away) or by the
+// job's timeout is not memoized.
+func (m *Manager) traceOf(ctx context.Context, job *Job, out *mineOutput) (*trace.Trace, error) {
+	select {
+	case out.traceLock <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-out.traceLock }()
+	if out.trace != nil {
+		return out.trace, nil
+	}
+	// The slot is taken under the output's lock, so the readers of one
+	// output queue on its lock and hold one slot between them.
+	select {
+	case m.replaySlots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-m.replaySlots }()
+	tr, err := m.replay(ctx, job, out)
+	if err != nil {
+		return nil, err
+	}
+	out.trace = tr
+	return tr, nil
+}
+
+// replay re-mines job with a tracer under the job's timeout, and checks
+// the re-mine against the job's result.
+func (m *Manager) replay(ctx context.Context, job *Job, out *mineOutput) (*trace.Trace, error) {
+	ctx = obs.WithLogger(obs.WithJobID(ctx, job.ID), m.mineLog)
+	if job.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, job.timeout)
+		defer cancel()
+	}
+	cfg := job.cfg
+	cfg.Trace = trace.New(0)
+	m.counters.traceReplays.Add(1)
+	res, err := m.mine(ctx, job, cfg)
+	if err != nil {
+		return nil, err
+	}
+	body, err := render(job, res)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(body, out.JSON) {
+		m.counters.traceReplayMismatches.Add(1)
+		m.log.ErrorContext(ctx, "trace replay mismatch",
+			"algorithm", job.cfg.AlgorithmName(),
+			"dataset_id", job.DatasetID)
+		return nil, errReplayMismatch
+	}
+	return res.Trace, nil
 }
 
 // finishFlight settles the leader and every follower of its flight, then

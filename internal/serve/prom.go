@@ -87,6 +87,8 @@ func (s *Server) promFamilies(m ServerMetrics) []obs.Family {
 		obs.Counter("sdadcs_serve_dedup_hits_total", "Jobs deduplicated onto an in-flight identical execution.", float64(m.DedupHits)),
 		obs.Gauge("sdadcs_serve_result_cache_entries", "Entries in the result cache.", float64(m.ResultCacheEntries)),
 		obs.Counter("sdadcs_serve_result_cache_evictions_total", "Result-cache entries dropped by LRU pressure.", float64(m.ResultCacheEvictions)),
+		obs.Counter("sdadcs_serve_trace_replays_total", "Re-mines run to serve a done job's decision trace on first read.", float64(m.TraceReplays)),
+		obs.Counter("sdadcs_serve_trace_replay_mismatches_total", "Trace replays whose re-mine rendered a different result than the job's.", float64(m.TraceReplayMismatches)),
 	}
 	if h := m.Store; h != nil {
 		fams = append(fams,

@@ -76,6 +76,10 @@ type counters struct {
 	mineExecutions atomic.Int64
 	cacheHits      atomic.Int64
 	dedupHits      atomic.Int64
+	// traceReplays counts re-mines run to serve a job's trace;
+	// traceReplayMismatches those that rendered a different result.
+	traceReplays          atomic.Int64
+	traceReplayMismatches atomic.Int64
 }
 
 // ServerMetrics is the /v1/metrics payload: serve-level counters plus one
@@ -107,11 +111,14 @@ type ServerMetrics struct {
 	CacheHits          int64 `json:"cache_hits"`
 	DedupHits          int64 `json:"dedup_hits"`
 	ResultCacheEntries int   `json:"result_cache_entries"`
-	// Ready, JobPanics and ResultCacheEvictions reach only the Prometheus
-	// exposition; they stay out of the JSON to keep it byte-compatible.
-	Ready                bool  `json:"-"`
-	JobPanics            int64 `json:"-"`
-	ResultCacheEvictions int64 `json:"-"`
+	// Ready, JobPanics, ResultCacheEvictions and the trace replay
+	// counters reach only the Prometheus exposition; they stay out of the
+	// JSON to keep it byte-compatible.
+	Ready                 bool  `json:"-"`
+	JobPanics             int64 `json:"-"`
+	ResultCacheEvictions  int64 `json:"-"`
+	TraceReplays          int64 `json:"-"`
+	TraceReplayMismatches int64 `json:"-"`
 	// Store reports the persistence backend's durability counters and the
 	// registry's cold-tier lifecycle. Omitted entirely when the server has
 	// no store attached, keeping the no-persistence JSON byte-compatible.
@@ -226,27 +233,29 @@ func (s *Server) Metrics() ServerMetrics {
 	entries, rows, evictions := s.reg.Stats()
 	ixCached, ixBuilds, ixEvictions := s.reg.IndexStats()
 	m := ServerMetrics{
-		UptimeNanos:          int64(time.Since(s.start)),
-		DatasetsRegistered:   entries,
-		DatasetRows:          rows,
-		DatasetEvictions:     evictions,
-		IndexBuilds:          ixBuilds,
-		IndexCached:          ixCached,
-		IndexEvictions:       ixEvictions,
-		JobsSubmitted:        s.counters.jobsSubmitted.Load(),
-		JobsDone:             s.counters.jobsDone.Load(),
-		JobsFailed:           s.counters.jobsFailed.Load(),
-		JobsCanceled:         s.counters.jobsCanceled.Load(),
-		JobsRunning:          s.counters.jobsRunning.Load(),
-		QueueDepth:           s.mgr.QueueDepth(),
-		QueueCapacity:        s.opts.QueueDepth,
-		MineExecutions:       s.counters.mineExecutions.Load(),
-		CacheHits:            s.counters.cacheHits.Load(),
-		DedupHits:            s.counters.dedupHits.Load(),
-		ResultCacheEntries:   s.cache.len(),
-		Ready:                s.Ready(),
-		JobPanics:            s.counters.jobPanics.Load(),
-		ResultCacheEvictions: s.cache.evicted(),
+		UptimeNanos:           int64(time.Since(s.start)),
+		DatasetsRegistered:    entries,
+		DatasetRows:           rows,
+		DatasetEvictions:      evictions,
+		IndexBuilds:           ixBuilds,
+		IndexCached:           ixCached,
+		IndexEvictions:        ixEvictions,
+		JobsSubmitted:         s.counters.jobsSubmitted.Load(),
+		JobsDone:              s.counters.jobsDone.Load(),
+		JobsFailed:            s.counters.jobsFailed.Load(),
+		JobsCanceled:          s.counters.jobsCanceled.Load(),
+		JobsRunning:           s.counters.jobsRunning.Load(),
+		QueueDepth:            s.mgr.QueueDepth(),
+		QueueCapacity:         s.opts.QueueDepth,
+		MineExecutions:        s.counters.mineExecutions.Load(),
+		CacheHits:             s.counters.cacheHits.Load(),
+		DedupHits:             s.counters.dedupHits.Load(),
+		ResultCacheEntries:    s.cache.len(),
+		Ready:                 s.Ready(),
+		JobPanics:             s.counters.jobPanics.Load(),
+		ResultCacheEvictions:  s.cache.evicted(),
+		TraceReplays:          s.counters.traceReplays.Load(),
+		TraceReplayMismatches: s.counters.traceReplayMismatches.Load(),
 	}
 	if s.opts.Store != nil {
 		h := s.opts.Store.Health()

@@ -165,9 +165,11 @@ type searcher struct {
 	tr        *trace.Tracer
 }
 
-// beamEntry is one subgroup on the beam.
+// beamEntry is one subgroup on the beam. key is set's canonical key,
+// kept for the beam sort's tie-break.
 type beamEntry struct {
 	set     pattern.Itemset
+	key     string
 	bits    *bitmap.Set
 	quality float64
 }
@@ -262,14 +264,14 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 					emitted++
 				}
 			}
-			next = append(next, beamEntry{set: c.set, bits: c.bits, quality: q})
+			next = append(next, beamEntry{set: c.set, key: c.key, bits: c.bits, quality: q})
 		}
 		// Keep the top BeamWidth by quality (deterministic tie-break).
 		sort.Slice(next, func(i, j int) bool {
 			if next[i].quality != next[j].quality {
 				return next[i].quality > next[j].quality
 			}
-			return next[i].set.Key() < next[j].set.Key()
+			return next[i].key < next[j].key
 		})
 		if len(next) > m.cfg.BeamWidth {
 			next = next[:m.cfg.BeamWidth]

@@ -182,8 +182,8 @@ func TestTracerConcurrentEmitters(t *testing.T) {
 }
 
 // TestSnapshotWhileEmitting takes snapshots while emitters are still
-// claiming tickets and installing pages, as a live serve job's /trace
-// does: every snapshot holds only whole, published events in sequence
+// claiming tickets and installing pages, as a reader of a running mine's
+// tracer may: every snapshot holds only whole, published events in sequence
 // order, and the one taken after the emitters stop holds them all.
 func TestSnapshotWhileEmitting(t *testing.T) {
 	tr := New(1 << 13)
