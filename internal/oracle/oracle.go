@@ -133,17 +133,22 @@ func (m *refMiner) emit(c pattern.Contrast) {
 	m.found[key] = c
 }
 
-// levelOne builds the initial frontier: one comb per categorical value and
-// one per continuous attribute, in attribute order.
+// levelOne builds the initial frontier: one comb per categorical value
+// some row holds and one per continuous attribute, in attribute order. A
+// value no row holds is not a candidate, as in expand.
 func (m *refMiner) levelOne() []comb {
 	var out []comb
 	for attr := 0; attr < m.d.NumAttrs(); attr++ {
 		if m.d.Attr(attr).Kind == dataset.Categorical {
 			for code := range m.d.Domain(attr) {
 				items := []pattern.Item{pattern.CatItem(attr, code)}
+				cover := m.coverOf(items)
+				if len(cover) == 0 {
+					continue
+				}
 				out = append(out, comb{
 					catItems: items,
-					cover:    m.coverOf(items),
+					cover:    cover,
 					lastAttr: attr,
 				})
 			}
