@@ -124,6 +124,12 @@ type Config struct {
 	// parent spaces are part of the pattern pool, which is how the paper's
 	// §5.5.2 finds "similar ones" to Cortana's top patterns.
 	RecordExploredSpaces bool
+	// ExpectedCountGate emits a categorical itemset only when every
+	// expected cell of its χ² table is at least 5, over the uncovered rows
+	// as well as the covered ones (the ExpectedCount rule checks only the
+	// covered rows). It is STUCCO's emission gate: the STUCCO baseline
+	// sets it, and neither engine.Config nor the wire can.
+	ExpectedCountGate bool
 	// Attrs restricts mining to these attribute indices; nil = all.
 	Attrs []int
 	// Workers > 1 mines each level's combinations in parallel (§6's
@@ -206,8 +212,11 @@ type Stats struct {
 	// PartitionsEvaluated counts spaces (and categorical value itemsets)
 	// whose supports were counted.
 	PartitionsEvaluated int
-	// SpacesPruned counts spaces cut by any rule before evaluation of
-	// their children.
+	// SpacesPruned counts spaces cut with neither a contrast nor
+	// children: a lookup-table hit, or a minimum-deviation, expected-count
+	// or CLT-redundancy cut. A rule that only stops expansion (pure space,
+	// the χ² optimistic estimate) is not counted here; the metrics' prune
+	// lines count every rule's hits.
 	SpacesPruned int
 	// SDADCalls counts invocations of the SDAD-CS discretization
 	// (one per categorical-context × continuous-attribute-set combo).

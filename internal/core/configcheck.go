@@ -98,6 +98,10 @@ func (c Config) CanonicalKey() string {
 		p.RedundancyCLT, p.PureSpace, p.LookupTable)
 	fmt.Fprintf(&b, "skipfilter=%t;recordexplored=%t;attrs=%s",
 		c.SkipMeaningfulFilter, c.RecordExploredSpaces, dataset.AttrsKey(c.Attrs))
+	// Appended only when set, so every key without the gate is unchanged.
+	if c.ExpectedCountGate {
+		b.WriteString(";expectedgate=true")
+	}
 	return b.String()
 }
 

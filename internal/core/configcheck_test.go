@@ -121,6 +121,7 @@ func TestCanonicalKeySensitiveToSemanticFields(t *testing.T) {
 		{Measure: pattern.SurprisingMeasure},
 		{OEMode: OEModeConservative},
 		{SkipMeaningfulFilter: true},
+		{ExpectedCountGate: true},
 		{Attrs: []int{0, 1}},
 		base.NP(),
 	}
@@ -131,6 +132,10 @@ func TestCanonicalKeySensitiveToSemanticFields(t *testing.T) {
 			t.Errorf("variant %d collides with %s", i, prev)
 		}
 		seen[h] = v.CanonicalKey()
+	}
+	// The gate is appended only when set, so no key without it changed.
+	if got, want := (Config{ExpectedCountGate: true}).CanonicalKey(), base.CanonicalKey()+";expectedgate=true"; got != want {
+		t.Errorf("gated key %q, want %q", got, want)
 	}
 	// Attribute order must not matter.
 	a := Config{Attrs: []int{2, 0, 1}}

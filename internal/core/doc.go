@@ -21,4 +21,9 @@
 // productive (Eq. 17), independently productive, non-redundant — run as a
 // final pass and can be disabled to obtain the SDAD-CS NP variant used in
 // the paper's quantitative comparison.
+//
+// With only categorical attributes, STUCCO's pruning rules, its emission
+// gate (Config.ExpectedCountGate) and the filter off, the same search is
+// the STUCCO baseline (internal/stucco), which the MVD and entropy
+// baselines run over their binned data.
 package core

@@ -75,8 +75,8 @@ func subsetKey(set pattern.Itemset, mask int) string {
 	return pattern.NewItemset(items...).Key()
 }
 
-// PruneDecision is the outcome of the §4.3 rules for one space.
-type PruneDecision struct {
+// pruneDecision is the outcome of the §4.3 rules for one space.
+type pruneDecision struct {
 	// SkipContrast: the space cannot be (or should not be reported as) a
 	// contrast.
 	SkipContrast bool
@@ -87,14 +87,15 @@ type PruneDecision struct {
 	Record bool
 }
 
-// EvaluatePruning applies the pruning rules p enables to a counted space.
-// It is the one implementation of the rules: the levelwise miner, SDAD-CS
-// and the STUCCO baseline (MinDeviation, ExpectedCount and ChiSquareOE
-// only) all decide through it.
+// evaluatePruning applies the pruning rules p enables to a counted space.
+// It is the one implementation of the rules: the levelwise miner's
+// categorical nodes (the STUCCO baseline's whole search, with
+// MinDeviation, ExpectedCount and ChiSquareOE only) and SDAD-CS's spaces
+// both decide through it.
 //
 // crit is the χ² critical value at the level's α with one degree of
 // freedom per group beyond the first — constant across a level, so the
-// caller computes it once (ChiSquareCrit) instead of once per space.
+// caller computes it once (chiSquareCrit) instead of once per space.
 // sup holds the space's per-group supports; set its itemset. The CLT
 // redundancy rule compares the space's support difference against each
 // subset obtained by dropping one item (Eq. 14–16); subset supports are
@@ -105,10 +106,10 @@ type PruneDecision struct {
 // Both sinks are safe for concurrent use, so this function stays callable
 // from parallel per-level workers; level/worker only annotate trace
 // events.
-func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
+func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	delta, alpha, crit float64, totalRows int,
 	suppOf func(pattern.Itemset) pattern.Supports,
-	rec *metrics.Recorder, tr *trace.Tracer, level, worker int) PruneDecision {
+	rec *metrics.Recorder, tr *trace.Tracer, level, worker int) pruneDecision {
 
 	// Minimum deviation size: no group reaches δ, so neither this space
 	// nor any specialization can be a large contrast.
@@ -118,7 +119,7 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 			tr.Prune(level, worker, set, metrics.PruneMinDeviation.String(),
 				maxSupport(sup), delta)
 		}
-		return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
+		return pruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
 	}
 	// Expected count: statistical tests are invalid below an expected
 	// cell count of 5, and specializations only shrink counts.
@@ -128,7 +129,7 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 			if tr.Enabled() {
 				tr.Prune(level, worker, set, metrics.PruneExpectedCount.String(), min, 5)
 			}
-			return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
+			return pruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
 		}
 	}
 	// CLT redundancy: the support difference is statistically the same as
@@ -141,10 +142,10 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 					metrics.PruneRedundancyCLT.String()+":"+det.subset.Key(),
 					det.diff, det.half)
 			}
-			return PruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
+			return pruneDecision{SkipContrast: true, SkipChildren: true, Record: true}
 		}
 	}
-	var d PruneDecision
+	var d pruneDecision
 	// Pure space: PR = 1 means one group is absent; the space itself is a
 	// fine contrast but adding attributes only produces redundant ones.
 	if p.PureSpace && sup.PR() >= 1 && sup.TotalCount() > 0 {
@@ -170,10 +171,10 @@ func EvaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	return d
 }
 
-// ChiSquareCrit is the critical value the χ² optimistic-estimate rule
+// chiSquareCrit is the critical value the χ² optimistic-estimate rule
 // compares against: the (1−α) quantile of χ² with groups−1 degrees of
 // freedom.
-func ChiSquareCrit(alpha float64, groups int) float64 {
+func chiSquareCrit(alpha float64, groups int) float64 {
 	return stats.ChiSquareQuantile(1-alpha, groups-1)
 }
 

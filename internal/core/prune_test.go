@@ -66,7 +66,7 @@ func TestEvaluatePruningMinDeviation(t *testing.T) {
 	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All()) // ~5% support in A only
-	dec := EvaluatePruning(AllPruning(), set, sup, 0.1, 0.05, ChiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if !dec.SkipChildren || !dec.SkipContrast || !dec.Record {
 		t.Errorf("low-support space should fully prune: %+v", dec)
 	}
@@ -80,7 +80,7 @@ func TestEvaluatePruningPureSpace(t *testing.T) {
 	if sup.PR() != 1 {
 		t.Fatalf("setup: PR = %v", sup.PR())
 	}
-	dec := EvaluatePruning(AllPruning(), set, sup, 0.1, 0.05, ChiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if !dec.SkipChildren {
 		t.Error("pure space must not be extended")
 	}
@@ -97,7 +97,7 @@ func TestEvaluatePruningDisabled(t *testing.T) {
 	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All())
-	dec := EvaluatePruning(Pruning{}, set, sup, 0.1, 0.05, ChiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
 	if dec.SkipChildren || dec.SkipContrast || dec.Record {
 		t.Errorf("disabled pruning should pass everything: %+v", dec)
 	}

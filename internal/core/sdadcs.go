@@ -27,7 +27,7 @@ type sdadRun struct {
 	prune     Pruning
 	contAttrs []int
 	alpha     float64 // Bonferroni-adjusted level α
-	crit      float64 // χ² critical value at alpha (ChiSquareCrit)
+	crit      float64 // χ² critical value at alpha (chiSquareCrit)
 	threshold float64 // current top-k minimum support (interest measure)
 	memo      *supportMemo
 	scratch   *sdadScratch
@@ -281,7 +281,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	}
 
 	// Pruning rules (§4.3).
-	dec := EvaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha, r.crit,
+	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha, r.crit,
 		r.totalRows, r.memo.supports, r.rec, r.tr, level, r.worker)
 	if dec.Record && r.prune.LookupTable {
 		r.inserts = append(r.inserts, childBox)

@@ -94,15 +94,12 @@ func (stuccoMiner) Description() string {
 
 func (stuccoMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, error) {
 	res, err := stucco.MineContext(ctx, d, cfg.stuccoConfig())
-	out := Result{
+	return Result{
 		Contrasts: res.Contrasts,
-		Stats: core.Stats{
-			PartitionsEvaluated: res.Candidates,
-			SpacesPruned:        res.Pruned,
-		},
-	}
-	out.instrument(cfg)
-	return out, err
+		Stats:     res.Stats,
+		Metrics:   res.Metrics,
+		Trace:     res.Trace,
+	}, err
 }
 
 func (stuccoMiner) CanonicalKey(cfg Config) string {
@@ -122,17 +119,15 @@ func (mvdMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (Resul
 	disc := mvd.DiscretizeDataset(d, cfg.mvdConfig())
 	binned := dataset.Discretized(d, disc.Cuts)
 	res, err := stucco.MineContext(ctx, binned, cfg.stuccoConfig())
-	out := Result{
+	res.Stats.PartitionsEvaluated += disc.PairsEvaluated
+	return Result{
 		Contrasts: res.Contrasts,
 		Binned:    binned,
 		Cuts:      disc.Cuts,
-		Stats: core.Stats{
-			PartitionsEvaluated: disc.PairsEvaluated + res.Candidates,
-			SpacesPruned:        res.Pruned,
-		},
-	}
-	out.instrument(cfg)
-	return out, err
+		Stats:     res.Stats,
+		Metrics:   res.Metrics,
+		Trace:     res.Trace,
+	}, err
 }
 
 func (mvdMiner) CanonicalKey(cfg Config) string {
@@ -152,17 +147,14 @@ func (entropyMiner) Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (R
 	cuts := entropy.DiscretizeDataset(d)
 	binned := dataset.Discretized(d, cuts)
 	res, err := stucco.MineContext(ctx, binned, cfg.stuccoConfig())
-	out := Result{
+	return Result{
 		Contrasts: res.Contrasts,
 		Binned:    binned,
 		Cuts:      cuts,
-		Stats: core.Stats{
-			PartitionsEvaluated: res.Candidates,
-			SpacesPruned:        res.Pruned,
-		},
-	}
-	out.instrument(cfg)
-	return out, err
+		Stats:     res.Stats,
+		Metrics:   res.Metrics,
+		Trace:     res.Trace,
+	}, err
 }
 
 func (entropyMiner) CanonicalKey(cfg Config) string {

@@ -68,7 +68,8 @@ type Result struct {
 	// Stats normalizes search effort: PartitionsEvaluated counts
 	// candidates whose supports were counted (plus, for mvd, the interval
 	// pairs its merge loop tested), SpacesPruned counts candidates cut
-	// before expansion.
+	// with neither a contrast nor children (core.Stats.SpacesPruned; 0 for
+	// subgroup).
 	Stats core.Stats
 	// Metrics is the instrumentation snapshot at the end of the run; nil
 	// unless Config.Metrics was set.
@@ -78,9 +79,9 @@ type Result struct {
 	Trace *trace.Trace
 }
 
-// instrument attaches the metrics/trace snapshots for adapters whose
+// instrument attaches the metrics/trace snapshots for an adapter whose
 // underlying miner streams into the sinks but does not snapshot them
-// (core snapshots itself; the baselines use this).
+// (core snapshots itself; subgroup uses this).
 func (r *Result) instrument(cfg Config) {
 	if cfg.Trace != nil {
 		cfg.Metrics.TraceVolume(cfg.Trace.Stats())

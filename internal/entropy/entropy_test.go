@@ -112,7 +112,7 @@ func TestDiscretizeDatasetAndMine(t *testing.T) {
 	if res.Contrasts[0].Score < 0.9 {
 		t.Errorf("top score = %v, want ~1 (perfect separation)", res.Contrasts[0].Score)
 	}
-	if res.Candidates == 0 {
+	if res.Stats.PartitionsEvaluated == 0 {
 		t.Error("candidate counter not wired up")
 	}
 }

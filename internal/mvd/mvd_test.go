@@ -67,7 +67,7 @@ func TestMineFindsContrasts(t *testing.T) {
 	if res.Contrasts[0].Score < 0.1 || res.Contrasts[0].Score > 0.9 {
 		t.Errorf("top score = %v, want a modest fragment contrast", res.Contrasts[0].Score)
 	}
-	if res.Candidates == 0 || disc.PairsEvaluated == 0 {
+	if res.Stats.PartitionsEvaluated == 0 || disc.PairsEvaluated == 0 {
 		t.Error("work counters not wired up")
 	}
 }

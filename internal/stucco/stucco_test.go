@@ -5,8 +5,10 @@ import (
 	"strconv"
 	"testing"
 
+	"sdadcs/internal/core"
 	"sdadcs/internal/dataset"
 	"sdadcs/internal/pattern"
+	"sdadcs/internal/trace"
 )
 
 // skewed builds a categorical dataset where attribute 0 value "hot" is
@@ -93,7 +95,7 @@ func TestMineRespectsDepth(t *testing.T) {
 		}
 	}
 	res2 := Mine(d, Config{MaxDepth: 2})
-	if res2.Candidates <= res.Candidates {
+	if res2.Stats.PartitionsEvaluated <= res.Stats.PartitionsEvaluated {
 		t.Error("deeper search should test more candidates")
 	}
 }
@@ -125,10 +127,10 @@ func TestMineAttrsSubset(t *testing.T) {
 func TestMinePruningReducesWork(t *testing.T) {
 	d := skewed(6, 2000)
 	full := Mine(d, Config{MaxDepth: 3})
-	if full.Pruned == 0 {
+	if full.Stats.SpacesPruned == 0 {
 		t.Error("expected some pruning on this data")
 	}
-	if full.Candidates == 0 {
+	if full.Stats.PartitionsEvaluated == 0 {
 		t.Error("no candidates counted")
 	}
 }
@@ -159,5 +161,55 @@ func TestMineDeterministic(t *testing.T) {
 		if a.Contrasts[i].Set.Key() != b.Contrasts[i].Set.Key() {
 			t.Fatal("non-deterministic order")
 		}
+	}
+}
+
+// TestMineGatesOnUncoveredExpectedCount: A=common covers every X row and
+// 44 of the 50 Y rows. It is large (support difference 0.12) and its χ²
+// p-value is far below α, and its covered rows pass the expected-count
+// rule, but its 6 uncovered rows give the Y cell an expected count of
+// 6·50/1050 ≈ 0.29. STUCCO does not emit such an itemset and traces why;
+// SDAD-CS, which tests only the covered rows, does.
+func TestMineGatesOnUncoveredExpectedCount(t *testing.T) {
+	var a, g []string
+	for i := 0; i < 1000; i++ {
+		a, g = append(a, "common"), append(g, "X")
+	}
+	for i := 0; i < 50; i++ {
+		v := "common"
+		if i < 6 {
+			v = "rare"
+		}
+		a, g = append(a, v), append(g, "Y")
+	}
+	d := dataset.NewBuilder("gate").AddCategorical("A", a).SetGroups(g).MustBuild()
+	common := pattern.NewItemset(pattern.CatItem(0, 0)).Key()
+	has := func(cs []pattern.Contrast) bool {
+		for _, c := range cs {
+			if c.Set.Key() == common {
+				return true
+			}
+		}
+		return false
+	}
+
+	tr := trace.New(0)
+	if res := Mine(d, Config{Trace: tr}); has(res.Contrasts) {
+		t.Error("stucco emitted A=common, whose uncovered Y cell expects fewer than 5 rows")
+	}
+	gated := 0
+	for _, e := range tr.Snapshot().Events {
+		if e.Kind == trace.KindPrune && e.Key() == common {
+			if e.Arg != "expected_count_gate" || e.V1 >= 5 || e.V2 != 5 {
+				t.Errorf("A=common traced prune %q v=%v,%v, want expected_count_gate below 5", e.Arg, e.V1, e.V2)
+			}
+			gated++
+		}
+	}
+	if gated != 1 {
+		t.Errorf("A=common traced %d prune events, want 1", gated)
+	}
+	if res := core.Mine(d, core.Config{SkipMeaningfulFilter: true}); !has(res.Contrasts) {
+		t.Error("sdadcs did not emit A=common")
 	}
 }

@@ -7,8 +7,7 @@
 // including the half-open "(−inf, b]" and "(b, +inf)" forms visible in the
 // paper's Table 1 rows.
 //
-// Like the STUCCO baseline, the beam search runs on the core miner's level
-// substrate: candidate covers are bitmap intersections against
+// The beam search runs on the core miner's level substrate: candidate covers are bitmap intersections against
 // per-condition bitmaps over the dataset-cached index (core.SharedIndex),
 // per-level candidate counting fans out through core.ForEach into
 // per-candidate slots, and the metrics recorder and trace ring receive the

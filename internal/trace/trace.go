@@ -58,6 +58,8 @@ const (
 	// itemset, Arg = rule name (the metrics.PruneRule strings, optionally
 	// suffixed ":<subset key>" for provenance-carrying rules, plus the
 	// terminal decision labels "not_large" / "not_significant" /
+	// "expected_count_gate" (significant, but an expected cell of the χ²
+	// table is below 5; the STUCCO baselines only) /
 	// "superseded_by_children"), V1 = observed statistic, V2 = the bound
 	// it was compared against.
 	KindPrune
