@@ -40,7 +40,7 @@ func TestSDADCSTraceGolden(t *testing.T) {
 			if res.Trace.Dropped != 0 {
 				t.Fatalf("seed %d workers %d: %d trace events dropped", seed, workers, res.Trace.Dropped)
 			}
-			lines[i] = sdadcsEventLines(res.Trace)
+			lines[i] = traceEventLines(res.Trace)
 		}
 		fmt.Fprintf(&got, "== sdadcs seed=%d events=%d\n", seed, len(lines[0]))
 		for _, l := range lines[0] {
@@ -75,9 +75,9 @@ func TestSDADCSTraceGolden(t *testing.T) {
 	}
 }
 
-// sdadcsEventLines renders each event of a trace as one line, in sequence
+// traceEventLines renders each event of a trace as one line, in sequence
 // order, with the span kinds' wall time masked.
-func sdadcsEventLines(tr *trace.Trace) []string {
+func traceEventLines(tr *trace.Trace) []string {
 	out := make([]string, len(tr.Events))
 	for i, e := range tr.Events {
 		v3 := fmtValue(e.V3)
