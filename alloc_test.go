@@ -13,6 +13,7 @@ import (
 	"sdadcs/internal/core"
 	"sdadcs/internal/datagen"
 	"sdadcs/internal/dataset"
+	"sdadcs/internal/subgroup"
 	"sdadcs/internal/trace"
 )
 
@@ -22,8 +23,9 @@ const allocTolerance = 0.005
 
 // TestAllocRatchet pins the allocations per call of the two benchmark
 // mine shapes at one worker, of the continuous shape mined with a
-// default-capacity decision tracer (as a serve job's trace replay is), and of loading
-// the categorical shape from CSV against testdata/allocs.txt. Allocation counts, unlike wall times, do
+// default-capacity decision tracer (as a serve job's trace replay is), of
+// the subgroup beam search on a 1,000-row Adult at default settings, and
+// of loading the categorical shape from CSV against testdata/allocs.txt. Allocation counts, unlike wall times, do
 // not vary between runs, so a regression fails here on every push. Map
 // internals change the counts between Go releases, so the file names the
 // toolchain it was recorded with and the test skips on any other. A change
@@ -37,6 +39,7 @@ func TestAllocRatchet(t *testing.T) {
 		N0: 900, N1: 700, Cat: 2, Cont: 24, Strength: 0.5, Seed: 11})
 	cat := datagen.Planted(datagen.UCISpec{Name: "categorical-shape", Group0: "a", Group1: "b",
 		N0: 18000, N1: 14000, Cat: 24, Cont: 0, Strength: 0.5, Seed: 12})
+	adult := datagen.Adult(datagen.AdultConfig{Seed: 1, Bachelors: 930, Doctorate: 70})
 	var csv bytes.Buffer
 	if err := dataset.WriteCSV(&csv, cat, "group"); err != nil {
 		t.Fatal(err)
@@ -47,6 +50,7 @@ func TestAllocRatchet(t *testing.T) {
 		"mine-continuous-shape-traced": func() {
 			core.Mine(cont, core.Config{MaxDepth: 2, Workers: 1, Trace: trace.New(0)})
 		},
+		"subgroup-adult-shape": func() { subgroup.Mine(adult, subgroup.Config{}) },
 		"fromcsv-categorical-shape": func() {
 			if _, err := dataset.FromCSV(bytes.NewReader(csv.Bytes()), dataset.CSVOptions{GroupColumn: "group"}); err != nil {
 				t.Fatal(err)
