@@ -613,12 +613,12 @@ func render(job *Job, res engine.Result) ([]byte, error) {
 // leader, its followers and later cache hits replay at most once between
 // them. Reads wait for the memo and for one of the pool's replay slots
 // under ctx; a replay cut short by ctx (the client went away) or by the
-// job's timeout is not memoized.
+// job's timeout is not memoized. select picks at random when a slot is
+// free and ctx is done alike, so each acquire re-checks ctx: a read whose
+// request already ended neither waits on, replays nor counts anything.
 func (m *Manager) traceOf(ctx context.Context, job *Job, out *mineOutput) (*trace.Trace, error) {
-	select {
-	case out.traceLock <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := acquire(ctx, out.traceLock); err != nil {
+		return nil, err
 	}
 	defer func() { <-out.traceLock }()
 	if out.trace != nil {
@@ -626,10 +626,8 @@ func (m *Manager) traceOf(ctx context.Context, job *Job, out *mineOutput) (*trac
 	}
 	// The slot is taken under the output's lock, so the readers of one
 	// output queue on its lock and hold one slot between them.
-	select {
-	case m.replaySlots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := acquire(ctx, m.replaySlots); err != nil {
+		return nil, err
 	}
 	defer func() { <-m.replaySlots }()
 	tr, err := m.replay(ctx, job, out)
@@ -638,6 +636,21 @@ func (m *Manager) traceOf(ctx context.Context, job *Job, out *mineOutput) (*trac
 	}
 	out.trace = tr
 	return tr, nil
+}
+
+// acquire takes a slot of sem under ctx. A slot taken while ctx is
+// already done is given back, and ctx's error returned.
+func acquire(ctx context.Context, sem chan struct{}) error {
+	select {
+	case sem <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		<-sem
+		return err
+	}
+	return nil
 }
 
 // replay re-mines job with a tracer under the job's timeout, and checks

@@ -270,18 +270,27 @@ func TestTraceReplayCanceledNotMemoized(t *testing.T) {
 	if m := s.Metrics(); m.TraceReplays != 1 {
 		t.Fatalf("%d replays ran with one replay slot, want 1", m.TraceReplays)
 	}
+	// The client gave up, but the server ends that read only once it sees
+	// the connection close. Wait for the read to let go of its job's lock
+	// before freeing the slot, or it may still take the slot and replay.
+	// memoOf waits for a job's reads to let go of its lock and returns
+	// its memoized trace.
+	memoOf := func(id string) *trace.Trace {
+		t.Helper()
+		j, _ := s.Manager().Job(id)
+		out, _, _ := j.Output()
+		out.traceLock <- struct{}{}
+		defer func() { <-out.traceLock }()
+		return out.trace
+	}
+	memoOf(other)
 	cancel()
 	if err := <-read; err == nil {
 		t.Fatal("the canceled read completed")
 	}
 	wait(gate.exited, "saw its request end")
 
-	j, _ := s.Manager().Job(id)
-	out, _, _ := j.Output()
-	out.traceLock <- struct{}{} // wait for the canceled read to let go
-	memo := out.trace
-	<-out.traceLock
-	if memo != nil {
+	if memoOf(id) != nil {
 		t.Fatal("a canceled replay was memoized")
 	}
 	if m := s.Metrics(); m.TraceReplays != 1 {
