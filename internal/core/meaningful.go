@@ -84,7 +84,7 @@ func isRedundant(c pattern.Contrast, alpha float64, memo *supportMemo) bool {
 	if c.Set.Len() < 2 {
 		return false
 	}
-	_, redundant := redundantByCLT(c.Set, c.Supports, alpha, memo.supports)
+	_, redundant := redundantByCLT(c.Set, c.Supports, alpha, memo)
 	return redundant
 }
 

@@ -484,7 +484,7 @@ func (m *miner) evaluate(level, worker int, nd node, alpha, crit, threshold floa
 		worker:    worker,
 	}
 	cover := m.materialize(nd)
-	contrasts := run.run(nd.catSet, m.coverView(cover))
+	contrasts := run.run(nd.catSet, m.coverView(worker, cover))
 	o := nodeOutcome{
 		contrasts: contrasts,
 		inserts:   run.inserts,
@@ -500,13 +500,16 @@ func (m *miner) evaluate(level, worker int, nd node, alpha, crit, threshold floa
 // coverView returns a materialized cover as a row view. SDAD-CS box
 // interiors need raw row indices for median computation, so a bitmap
 // cover converts to a sorted row slice exactly when (and only when) a
-// continuous combination is handed to Algorithm 1.
-func (m *miner) coverView(cover *bitmap.Set) dataset.View {
+// continuous combination is handed to Algorithm 1. The rows go into the
+// worker's scratch, so the view lasts until the worker's next run.
+func (m *miner) coverView(worker int, cover *bitmap.Set) dataset.View {
 	if cover == nil {
 		return m.d.All()
 	}
 	m.rec.Add(metrics.BitmapLazyRows, 1)
-	return m.d.Restrict(cover.Rows())
+	s := &m.scratch[worker]
+	s.cover = cover.AppendRows(s.cover[:0])
+	return m.d.Restrict(s.cover)
 }
 
 // groupCounts counts the node's lazy cover per group: one fused pass of
@@ -553,7 +556,7 @@ func (m *miner) evaluateCategorical(level, worker int, nd node, alpha, crit floa
 		m.tr.Node(level, worker, nd.catSet, sup.TotalCount(), counts)
 	}
 	dec := evaluatePruning(m.prune, nd.catSet, sup, m.cfg.Delta, alpha, crit,
-		m.d.Rows(), m.memo.supports, m.rec, m.tr, level, worker)
+		m.d.Rows(), m.memo, m.rec, m.tr, level, worker)
 	o.record = dec.Record && m.prune.LookupTable
 	if dec.SkipContrast && dec.SkipChildren {
 		o.stats.SpacesPruned++

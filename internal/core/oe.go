@@ -23,8 +23,13 @@ func optimisticEstimate(sup pattern.Supports, spaceRows, numCont int, mode OEMod
 
 	maxInstChild := maxInstancesChild(spaceRows, numCont, mode)
 	k := sup.Groups()
-	maxSupp := make([]float64, k)
-	minSupp := make([]float64, k)
+	// The per-group bounds live on the stack for up to 16 groups.
+	var stack [32]float64
+	bounds := stack[:]
+	if 2*k > len(bounds) {
+		bounds = make([]float64, 2*k)
+	}
+	maxSupp, minSupp := bounds[:k:k], bounds[k:2*k]
 	for g := 0; g < k; g++ {
 		size := float64(sup.Size[g])
 		if size == 0 {

@@ -99,16 +99,15 @@ type pruneDecision struct {
 // sup holds the space's per-group supports; set its itemset. The CLT
 // redundancy rule compares the space's support difference against each
 // subset obtained by dropping one item (Eq. 14–16); subset supports are
-// provided by the memoizing suppOf callback, which may be nil when
-// RedundancyCLT is off. rec (nil = disabled) counts
-// which rule fired; tr (nil = disabled) additionally records the decision
-// itself — which rule, at what observed statistic, against which bound.
-// Both sinks are safe for concurrent use, so this function stays callable
-// from parallel per-level workers; level/worker only annotate trace
-// events.
+// read from memo, which may be nil when RedundancyCLT is off. rec (nil =
+// disabled) counts which rule fired; tr (nil = disabled) additionally
+// records the decision itself — which rule, at what observed statistic,
+// against which bound. Both sinks are safe for concurrent use, so this
+// function stays callable from parallel per-level workers; level/worker
+// only annotate trace events.
 func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	delta, alpha, crit float64, totalRows int,
-	suppOf func(pattern.Itemset) pattern.Supports,
+	memo *supportMemo,
 	rec *metrics.Recorder, tr *trace.Tracer, level, worker int) pruneDecision {
 
 	// Minimum deviation size: no group reaches δ, so neither this space
@@ -135,7 +134,7 @@ func evaluatePruning(p Pruning, set pattern.Itemset, sup pattern.Supports,
 	// CLT redundancy: the support difference is statistically the same as
 	// a subset's, so this space (and its supersets) add nothing.
 	if p.RedundancyCLT && set.Len() >= 2 {
-		if det, redundant := redundantByCLT(set, sup, alpha, suppOf); redundant {
+		if det, redundant := redundantByCLT(set, sup, alpha, memo); redundant {
 			rec.PruneHit(metrics.PruneRedundancyCLT)
 			if tr.Enabled() {
 				tr.Prune(level, worker, set,
@@ -215,7 +214,9 @@ type cltDetail struct {
 // redundantByCLT implements the Eq. 14–16 check: for each subset obtained
 // by dropping one item, if the current support difference lies within the
 // bound diff_subset ± α·sqrt(a+b) around the subset's difference, the
-// current itemset is statistically the same contrast.
+// current itemset is statistically the same contrast. Subset supports come
+// from memo by compact key (supportsWithout); the subset itemset itself is
+// built only for the returned detail.
 //
 // The multiplier is the paper's literal α (not the z critical value): the
 // resulting bound is deliberately razor-thin, so the rule fires only on
@@ -226,22 +227,21 @@ type cltDetail struct {
 // age × hours interaction of Table 1 dilutes to statistical redundancy at
 // the first split level).
 func redundantByCLT(set pattern.Itemset, sup pattern.Supports, alpha float64,
-	suppOf func(pattern.Itemset) pattern.Supports) (cltDetail, bool) {
+	memo *supportMemo) (cltDetail, bool) {
 
+	if set.Len() < 2 {
+		return cltDetail{}, false // the only subset is empty
+	}
 	x, y := extremeGroups(sup)
 	diffCurr := sup.Supp(x) - sup.Supp(y)
-	for _, attr := range set.Attrs() {
-		subset := set.Without(attr)
-		if subset.Len() == 0 {
-			continue
-		}
-		sub := suppOf(subset)
+	for i := 0; i < set.Len(); i++ {
+		sub := memo.supportsWithout(set, i)
 		diffSub := sub.Supp(x) - sub.Supp(y)
 		a := sub.Supp(x) * (1 - sub.Supp(x)) / float64(sub.Size[x])
 		b := sub.Supp(y) * (1 - sub.Supp(y)) / float64(sub.Size[y])
 		half := alpha * math.Sqrt(a+b)
 		if diffCurr >= diffSub-half && diffCurr <= diffSub+half {
-			return cltDetail{subset: subset, diff: diffCurr, half: half}, true
+			return cltDetail{subset: set.Without(set.Item(i).Attr), diff: diffCurr, half: half}, true
 		}
 	}
 	return cltDetail{}, false
@@ -308,13 +308,41 @@ func newSupportMemo(d *dataset.Dataset, ix *bitmap.Index) *supportMemo {
 func (m *supportMemo) supports(set pattern.Itemset) pattern.Supports {
 	var stack [128]byte
 	key := set.AppendCompactKey(stack[:0])
+	if s, ok := m.lookup(key); ok {
+		return s
+	}
+	return m.insert(key, set)
+}
+
+// supportsWithout returns the supports of set without its i-th item — a
+// drop-one subset of the CLT rule. Items are in attribute order, so the
+// subset's compact key is the other items' encodings in order: a probe
+// builds it in a stack buffer, and only a miss builds the subset itemset.
+func (m *supportMemo) supportsWithout(set pattern.Itemset, i int) pattern.Supports {
+	var stack [128]byte
+	key := stack[:0]
+	for j := 0; j < set.Len(); j++ {
+		if j != i {
+			key = set.Item(j).AppendCompactKey(key)
+		}
+	}
+	if s, ok := m.lookup(key); ok {
+		return s
+	}
+	return m.insert(key, set.Without(set.Item(i).Attr))
+}
+
+// lookup returns the cached supports under a compact key.
+func (m *supportMemo) lookup(key []byte) (pattern.Supports, bool) {
 	m.mu.Lock()
 	s, ok := m.cache[string(key)]
 	m.mu.Unlock()
-	if ok {
-		return s
-	}
-	s = pattern.CountsToSupports(m.count(set), m.sizes)
+	return s, ok
+}
+
+// insert counts set, whose compact key is key, and caches its supports.
+func (m *supportMemo) insert(key []byte, set pattern.Itemset) pattern.Supports {
+	s := pattern.CountsToSupports(m.count(set), m.sizes)
 	m.mu.Lock()
 	m.cache[string(key)] = s
 	m.mu.Unlock()

@@ -66,7 +66,7 @@ func TestEvaluatePruningMinDeviation(t *testing.T) {
 	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All()) // ~5% support in A only
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo, nil, nil, 1, 0)
 	if !dec.SkipChildren || !dec.SkipContrast || !dec.Record {
 		t.Errorf("low-support space should fully prune: %+v", dec)
 	}
@@ -80,7 +80,7 @@ func TestEvaluatePruningPureSpace(t *testing.T) {
 	if sup.PR() != 1 {
 		t.Fatalf("setup: PR = %v", sup.PR())
 	}
-	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo, nil, nil, 1, 0)
 	if !dec.SkipChildren {
 		t.Error("pure space must not be extended")
 	}
@@ -97,7 +97,7 @@ func TestEvaluatePruningDisabled(t *testing.T) {
 	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All())
-	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo.supports, nil, nil, 1, 0)
+	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo, nil, nil, 1, 0)
 	if dec.SkipChildren || dec.SkipContrast || dec.Record {
 		t.Errorf("disabled pruning should pass everything: %+v", dec)
 	}
@@ -110,7 +110,7 @@ func TestRedundantByCLTDetectsSubsumption(t *testing.T) {
 	memo := newSupportMemo(d, bitmap.NewIndex(d))
 	set := pattern.NewItemset(item(d, "sex", "female"), item(d, "pregnant", "yes"))
 	sup := memo.supports(set)
-	det, redundant := redundantByCLT(set, sup, 0.05, memo.supports)
+	det, redundant := redundantByCLT(set, sup, 0.05, memo)
 	if !redundant {
 		t.Error("functionally dependent itemset should be CLT-redundant")
 	}
@@ -129,7 +129,7 @@ func TestRedundantByCLTKeepsRealRefinement(t *testing.T) {
 		pattern.RangeItem(1, -1, 0.5),
 	)
 	sup := memo.supports(set)
-	if _, redundant := redundantByCLT(set, sup, 0.05, memo.supports); redundant {
+	if _, redundant := redundantByCLT(set, sup, 0.05, memo); redundant {
 		t.Error("an interacting refinement should not be flagged redundant")
 	}
 }

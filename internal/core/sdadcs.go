@@ -48,25 +48,55 @@ type sdadRun struct {
 
 // sdadScratch is one worker's reusable SDAD-CS buffers. A miner owns one
 // per worker, indexed by the worker number evaluate receives, so the
-// buffers grow once per Mine rather than once per node, and none outlives
-// the Mine.
+// buffers grow once per Mine rather than once per node or box, and none
+// outlives the Mine. Only partition bookkeeping lives here: every
+// itemset, count slice and contrast a run hands on (to the tracer, the
+// lookup table or the result) is its own allocation and never reused.
 type sdadScratch struct {
 	vals  []float64 // one attribute's finite values in a box, for its median
 	boxOf []int32   // per view row: the linear index of its box, or -1
-	// rows[level-1] backs the row slices of the boxes a split at that
-	// recursion level produces; a box's child split writes the next level.
-	rows [][]int
+	// cover backs the row view of the node a run starts from
+	// (miner.coverView); it is read-only for the run.
+	cover []int
+	// levels[level-1] holds the partition of one split at that recursion
+	// level; a box's child split uses the next level's, so the parent's
+	// stay intact while its boxes recurse.
+	levels []*sdadLevel
 }
 
-// levelRows returns a buffer of n row slots for the boxes split at level.
-func (s *sdadScratch) levelRows(level, n int) []int {
-	for len(s.rows) < level {
-		s.rows = append(s.rows, nil)
+// sdadLevel is the partition of one explore call: the interval choices
+// per continuous attribute, the box boundaries and odometer of
+// find_combs, and the backing array of the boxes' row slices.
+type sdadLevel struct {
+	choices []splitChoice // per contAttrs entry
+	cols    [][]float64   // per contAttrs entry: the attribute's column
+	bounds  []int         // bounds[b] is box b's end in rows after the fill
+	idx     []int         // the odometer: per contAttrs entry, a choice
+	rows    []int         // the boxes' row slices, box after box
+}
+
+// splitChoice is one attribute's intervals in a split: both halves of a
+// split at the median (n = 2), or the box's current range alone (n = 1).
+type splitChoice struct {
+	iv [2]pattern.Interval
+	n  int
+}
+
+// level returns the buffers of a recursion level, adding it on first use.
+func (s *sdadScratch) level(level int) *sdadLevel {
+	for len(s.levels) < level {
+		s.levels = append(s.levels, new(sdadLevel))
 	}
-	if cap(s.rows[level-1]) < n {
-		s.rows[level-1] = make([]int, n)
+	return s.levels[level-1]
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return s.rows[level-1][:n]
+	return buf[:n]
 }
 
 // run executes Algorithm 1 for the given categorical context and returns
@@ -99,25 +129,27 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 
 	// partition(ca): split each attribute at the view's median, within the
 	// box's current range.
-	choices := make([][]pattern.Interval, 0, len(r.contAttrs))
-	cols := make([][]float64, len(r.contAttrs))
+	lv := r.scratch.level(level)
+	lv.cols = resize(lv.cols, len(r.contAttrs))
+	lv.choices = resize(lv.choices, len(r.contAttrs))
+	cols, choices := lv.cols, lv.choices
 	splits := 0
 	for k, attr := range r.contAttrs {
 		cur := currentRange(box, attr)
 		cols[k] = r.d.ContColumn(attr)
 		med, hi := r.medianMax(view, cols[k])
 		if med > cur.Lo && med < hi && med < cur.Hi {
-			choices = append(choices, []pattern.Interval{
+			choices[k] = splitChoice{iv: [2]pattern.Interval{
 				{Lo: cur.Lo, Hi: med},
 				{Lo: med, Hi: cur.Hi},
-			})
+			}, n: 2}
 			splits++
 			if r.tr.Enabled() {
 				r.tr.Split(level, r.worker, box, r.d.Attr(attr).Name,
 					med, cur.Lo, cur.Hi)
 			}
 		} else {
-			choices = append(choices, []pattern.Interval{cur})
+			choices[k] = splitChoice{iv: [2]pattern.Interval{cur}, n: 1}
 		}
 	}
 	if splits == 0 {
@@ -143,37 +175,38 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	// order, so every space keeps its rows in view order.
 	totalSpaces := 1
 	for _, ch := range choices {
-		totalSpaces *= len(ch)
+		totalSpaces *= ch.n
 	}
 	r.rec.Add(metrics.BoxesExplored, totalSpaces)
 	n := view.Len()
-	if cap(r.scratch.boxOf) < n {
-		r.scratch.boxOf = make([]int32, n)
-	}
-	boxOf := r.scratch.boxOf[:n]
+	r.scratch.boxOf = resize(r.scratch.boxOf, n)
+	boxOf := r.scratch.boxOf
 	// bounds[b+1] counts space b's rows; after the prefix sum bounds[b] is
 	// its start, and after the fill its end.
-	bounds := make([]int, totalSpaces+1)
+	lv.bounds = resize(lv.bounds, totalSpaces+1)
+	bounds := lv.bounds
+	clear(bounds)
 	for i := 0; i < n; i++ {
 		row := view.Row(i)
 		linear := 0
 		mult := 1
-		for k, ch := range choices {
+		for k := range choices {
+			ch := &choices[k]
 			v := cols[k][row]
 			if v != v { // NaN: a missing reading belongs to no bin
 				linear = -1
 				break
 			}
-			if v <= ch[0].Lo || v > ch[len(ch)-1].Hi {
+			if v <= ch.iv[0].Lo || v > ch.iv[ch.n-1].Hi {
 				linear = -1 // outside the box under (Lo, Hi] semantics
 				break
 			}
 			choice := 0
-			if len(ch) == 2 && v > ch[0].Hi {
+			if ch.n == 2 && v > ch.iv[0].Hi {
 				choice = 1
 			}
 			linear += choice * mult
-			mult *= len(ch)
+			mult *= ch.n
 		}
 		boxOf[i] = int32(linear)
 		if linear >= 0 {
@@ -183,7 +216,8 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	for b := 1; b <= totalSpaces; b++ {
 		bounds[b] += bounds[b-1]
 	}
-	backing := r.scratch.levelRows(level, bounds[totalSpaces])
+	lv.rows = resize(lv.rows, bounds[totalSpaces])
+	backing := lv.rows
 	for i, b := range boxOf {
 		if b >= 0 {
 			backing[bounds[b]] = view.Row(i)
@@ -193,7 +227,9 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 
 	var contrasts, tentative []pattern.Contrast // D and Dtemp
 	// find_combs(p): iterate the cartesian product of interval choices.
-	idx := make([]int, len(choices))
+	lv.idx = resize(lv.idx, len(choices))
+	idx := lv.idx
+	clear(idx)
 	start := 0
 	for linear := 0; ; linear++ {
 		end := bounds[linear]
@@ -203,7 +239,7 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 		i := 0
 		for ; i < len(idx); i++ {
 			idx[i]++
-			if idx[i] < len(choices[i]) {
+			if idx[i] < choices[i].n {
 				break
 			}
 			idx[i] = 0
@@ -245,15 +281,11 @@ func (r *sdadRun) medianMax(view dataset.View, col []float64) (med, hi float64) 
 // exploreSpace processes one box of the current partition; rows holds the
 // dataset row indices pre-assigned to this space.
 func (r *sdadRun) exploreSpace(box pattern.Itemset,
-	choices [][]pattern.Interval, idx []int, rows []int, level int, parentMeasure float64,
+	choices []splitChoice, idx []int, rows []int, level int, parentMeasure float64,
 	contrasts, tentative *[]pattern.Contrast) {
 
-	childBox := box
-	for i, attr := range r.contAttrs {
-		iv := choices[i][idx[i]]
-		childBox = childBox.With(pattern.RangeItem(attr, iv.Lo, iv.Hi))
-	}
-	if childBox.Equal(box) {
+	childBox, refined := r.childBox(box, choices, idx)
+	if !refined {
 		return // no attribute refined: same space as the parent
 	}
 
@@ -282,7 +314,7 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 
 	// Pruning rules (§4.3).
 	dec := evaluatePruning(r.prune, childBox, sup, r.cfg.Delta, r.alpha, r.crit,
-		r.totalRows, r.memo.supports, r.rec, r.tr, level, r.worker)
+		r.totalRows, r.memo, r.rec, r.tr, level, r.worker)
 	if dec.Record && r.prune.LookupTable {
 		r.inserts = append(r.inserts, childBox)
 	}
@@ -355,6 +387,44 @@ func (r *sdadRun) exploreSpace(box pattern.Itemset,
 	} else {
 		*tentative = append(*tentative, c)
 	}
+}
+
+// childBox returns the box that takes choices[k].iv[idx[k]] on each
+// contAttrs[k] and box's items on every other attribute — what a chain of
+// box.With over the range items builds — in one exact-size slice, by
+// merging box's items (in attribute order) with the ascending contAttrs.
+// refined is false, and nothing is allocated, when the child would equal
+// box: every continuous attribute is already on box with the chosen range.
+func (r *sdadRun) childBox(box pattern.Itemset, choices []splitChoice, idx []int) (child pattern.Itemset, refined bool) {
+	n := box.Len()
+	for k, attr := range r.contAttrs {
+		iv := choices[k].iv[idx[k]]
+		it, ok := box.ItemOn(attr)
+		if !ok {
+			n++
+			refined = true
+		} else if !it.Equal(pattern.RangeItem(attr, iv.Lo, iv.Hi)) {
+			refined = true
+		}
+	}
+	if !refined {
+		return pattern.Itemset{}, false
+	}
+	items := make([]pattern.Item, 0, n)
+	bi := 0
+	for k, attr := range r.contAttrs {
+		for ; bi < box.Len() && box.Item(bi).Attr <= attr; bi++ {
+			if box.Item(bi).Attr < attr {
+				items = append(items, box.Item(bi))
+			}
+		}
+		iv := choices[k].iv[idx[k]]
+		items = append(items, pattern.RangeItem(attr, iv.Lo, iv.Hi))
+	}
+	for ; bi < box.Len(); bi++ {
+		items = append(items, box.Item(bi))
+	}
+	return pattern.SortedItemset(items), true
 }
 
 // cancelled reports whether the run's context has been cancelled; a nil
@@ -489,15 +559,7 @@ func (r *sdadRun) tryMerge(a, b pattern.Contrast) (pattern.Contrast, bool) {
 	merged := a.Set.With(pattern.RangeItem(attr, union.Lo, union.Hi))
 	// Similarity: the two spaces must not differ significantly in their
 	// group composition.
-	table := [][]float64{{}, {}}
-	for g := range a.Supports.Count {
-		table[0] = append(table[0], float64(a.Supports.Count[g]))
-		table[1] = append(table[1], float64(b.Supports.Count[g]))
-	}
-	simP := 1.0
-	if res, err := stats.ChiSquareTable(table); err == nil {
-		simP = res.P
-	}
+	simP := similarityP(a.Supports.Count, b.Supports.Count)
 	if simP < r.alpha {
 		if r.tr.Enabled() {
 			r.tr.Merge(r.worker, merged, "reject_similarity", simP, 0)
@@ -534,6 +596,27 @@ func (r *sdadRun) tryMerge(a, b pattern.Contrast) (pattern.Contrast, bool) {
 		ChiSq:    test.Statistic,
 		P:        test.P,
 	}, true
+}
+
+// similarityP is the P-value of the χ² test on the 2×k table whose rows
+// are two spaces' per-group counts, or 1 when the table is degenerate.
+// The table lives on the stack for up to eight groups.
+func similarityP(a, b []int) float64 {
+	k := len(a)
+	var stack [16]float64
+	cells := stack[:]
+	if 2*k > len(cells) {
+		cells = make([]float64, 2*k)
+	}
+	table := [2][]float64{cells[:k:k], cells[k : 2*k]}
+	for g := range a {
+		table[0][g] = float64(a[g])
+		table[1][g] = float64(b[g])
+	}
+	if res, err := stats.ChiSquareTable(table[:]); err == nil {
+		return res.P
+	}
+	return 1
 }
 
 // contiguousOn reports whether two boxes differ on exactly one continuous

@@ -23,6 +23,14 @@ func NewItemset(items ...Item) Itemset {
 	return Itemset{items: cp}
 }
 
+// SortedItemset wraps items that are already in strictly ascending
+// attribute order, without copying or sorting them: the itemset keeps the
+// slice, so the caller must not modify it afterwards. It is NewItemset
+// for a caller that builds each itemset in its own exact-size slice.
+func SortedItemset(items []Item) Itemset {
+	return Itemset{items: items}
+}
+
 // Len returns the number of items.
 func (s Itemset) Len() int { return len(s.items) }
 

@@ -145,6 +145,20 @@ func TestItemsetWithMatchesNewItemset(t *testing.T) {
 	}
 }
 
+// TestSortedItemset: items already in attribute order wrap into the same
+// itemset NewItemset builds, and the wrapper keeps the caller's slice.
+func TestSortedItemset(t *testing.T) {
+	items := []Item{CatItem(1, 0), RangeItem(3, 1, 2), RangeItem(6, -1, 4)}
+	got := SortedItemset(items)
+	want := NewItemset(items[2], items[0], items[1])
+	if !got.Equal(want) || got.Key() != want.Key() || got.CompactKey() != want.CompactKey() {
+		t.Errorf("SortedItemset = %q, want %q", got.Key(), want.Key())
+	}
+	if &got.items[0] != &items[0] {
+		t.Error("SortedItemset copied its items")
+	}
+}
+
 func TestItemsetSubsetGeneralizes(t *testing.T) {
 	ab := NewItemset(CatItem(1, 0), RangeItem(0, 20, 40))
 	a := NewItemset(CatItem(1, 0))

@@ -22,6 +22,19 @@ func (r ChiSquareResult) Significant(alpha float64) bool {
 	return r.P < alpha
 }
 
+// Errors of malformed inputs. They are values, so a rejected table costs
+// no allocation on a hot path.
+var (
+	errRaggedTable   = errors.New("stats: ragged contingency table")
+	errBadCount      = errors.New("stats: negative or NaN count")
+	errLengths       = errors.New("stats: count/size length mismatch")
+	errCountOutRange = errors.New("stats: count out of range")
+)
+
+// stackCells is how many table cells, and separately how many margins,
+// the tests keep in stack arrays; a larger table falls back to the heap.
+const stackCells = 64
+
 // ChiSquareTable computes the chi-square test of independence for an r×c
 // contingency table given as rows of observed counts. All rows must have the
 // same length. A zero row or column margin yields ErrDegenerateTable.
@@ -34,17 +47,41 @@ func ChiSquareTable(observed [][]float64) (ChiSquareResult, error) {
 	if c < 2 {
 		return ChiSquareResult{}, ErrDegenerateTable
 	}
-	rowSum := make([]float64, r)
-	colSum := make([]float64, c)
-	total := 0.0
-	for i, row := range observed {
+	var stack [stackCells]float64
+	cells := stack[:]
+	if r*c > len(cells) {
+		cells = make([]float64, r*c)
+	}
+	cells = cells[:0]
+	for _, row := range observed {
 		if len(row) != c {
-			return ChiSquareResult{}, errors.New("stats: ragged contingency table")
+			return ChiSquareResult{}, errRaggedTable
 		}
-		for j, v := range row {
+		for _, v := range row {
 			if v < 0 || math.IsNaN(v) {
-				return ChiSquareResult{}, errors.New("stats: negative or NaN count")
+				return ChiSquareResult{}, errBadCount
 			}
+		}
+		cells = append(cells, row...)
+	}
+	return chiSquareFlat(cells, r, c)
+}
+
+// chiSquareFlat is the test on a validated r×c table of non-negative,
+// non-NaN counts stored row-major in obs. The margins are summed and the
+// statistic accumulated cell by cell in row-major order, the order the
+// nested-slice code used, so the results keep their bits.
+func chiSquareFlat(obs []float64, r, c int) (ChiSquareResult, error) {
+	var stack [stackCells]float64
+	sums := stack[:]
+	if r+c > len(sums) {
+		sums = make([]float64, r+c)
+	}
+	rowSum, colSum := sums[:r], sums[r:r+c]
+	total := 0.0
+	for i := 0; i < r; i++ {
+		row := obs[i*c : i*c+c]
+		for j, v := range row {
 			rowSum[i] += v
 			colSum[j] += v
 			total += v
@@ -66,12 +103,13 @@ func ChiSquareTable(observed [][]float64) (ChiSquareResult, error) {
 	stat := 0.0
 	minExp := math.Inf(1)
 	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
+		row := obs[i*c : i*c+c]
+		for j, o := range row {
 			exp := rowSum[i] * colSum[j] / total
 			if exp < minExp {
 				minExp = exp
 			}
-			d := observed[i][j] - exp
+			d := o - exp
 			stat += d * d / exp
 		}
 	}
@@ -84,25 +122,32 @@ func ChiSquareTable(observed [][]float64) (ChiSquareResult, error) {
 	}, nil
 }
 
-// ChiSquare2xK tests independence between group membership (2 groups) and
-// presence/absence of a pattern across k groups is the common case in
-// contrast set mining: the table rows are groups and the columns are
-// (contains pattern, does not contain pattern).
+// ChiSquare2xK tests independence between group membership and the
+// presence of a pattern, the common case in contrast set mining: the
+// table has one row per group (k groups, k >= 2) and two columns
+// (contains the pattern, does not contain it).
 //
 // count[i] is the number of rows of group i containing the pattern and
-// size[i] the total number of rows in group i.
+// size[i] the total number of rows in group i. The table lives on the
+// stack for up to 32 groups, so the test does not allocate.
 func ChiSquare2xK(count, size []int) (ChiSquareResult, error) {
-	if len(count) != len(size) || len(count) < 2 {
-		return ChiSquareResult{}, errors.New("stats: count/size length mismatch")
+	k := len(count)
+	if len(size) != k || k < 2 {
+		return ChiSquareResult{}, errLengths
 	}
-	obs := make([][]float64, len(count))
-	for i := range count {
-		if count[i] < 0 || count[i] > size[i] {
-			return ChiSquareResult{}, errors.New("stats: count out of range")
+	var stack [stackCells]float64
+	obs := stack[:]
+	if 2*k > len(obs) {
+		obs = make([]float64, 2*k)
+	}
+	for i, n := range count {
+		if n < 0 || n > size[i] {
+			return ChiSquareResult{}, errCountOutRange
 		}
-		obs[i] = []float64{float64(count[i]), float64(size[i] - count[i])}
+		obs[2*i] = float64(n)
+		obs[2*i+1] = float64(size[i] - n)
 	}
-	return ChiSquareTable(obs)
+	return chiSquareFlat(obs[:2*k], k, 2)
 }
 
 // ChiSquareOptimistic returns an upper bound on the chi-square statistic
@@ -115,7 +160,12 @@ func ChiSquare2xK(count, size []int) (ChiSquareResult, error) {
 func ChiSquareOptimistic(count, size []int) float64 {
 	best := 0.0
 	k := len(count)
-	sub := make([]int, k)
+	var stack [stackCells]int
+	sub := stack[:]
+	if k > len(sub) {
+		sub = make([]int, k)
+	}
+	sub = sub[:k]
 	for keep := 0; keep < k; keep++ {
 		for i := range sub {
 			if i == keep {

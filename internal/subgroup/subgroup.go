@@ -7,11 +7,13 @@
 // including the half-open "(−inf, b]" and "(b, +inf)" forms visible in the
 // paper's Table 1 rows.
 //
-// The beam search runs on the core miner's level substrate: candidate covers are bitmap intersections against
-// per-condition bitmaps over the dataset-cached index (core.SharedIndex),
-// per-level candidate counting fans out through core.ForEach into
-// per-candidate slots, and the metrics recorder and trace ring receive the
-// same instrumentation as everywhere else.
+// The beam search runs on the core miner's level substrate: a candidate
+// is counted as its parent's cover ANDed with a per-condition bitmap over
+// the dataset-cached index (core.SharedIndex), in one fused pass that
+// writes no intersection; only the BeamWidth entries kept for the next
+// level get their cover written. Per-level candidate counting fans out
+// through core.ForEach into per-candidate slots, and the metrics recorder
+// and trace ring receive the same instrumentation as everywhere else.
 package subgroup
 
 import (
@@ -165,10 +167,14 @@ type searcher struct {
 }
 
 // beamEntry is one subgroup on the beam. key is set's canonical key,
-// kept for the beam sort's tie-break.
+// kept for the beam sort's tie-break; parent and cond name the previous
+// beam's entry and the condition it was specialized with, from which bits
+// is written once the entry is kept.
 type beamEntry struct {
 	set     pattern.Itemset
 	key     string
+	parent  int
+	cond    int
 	bits    *bitmap.Set
 	quality float64
 }
@@ -181,7 +187,6 @@ type candidate struct {
 	set    pattern.Itemset
 	key    string
 	// filled by the parallel counting stage
-	bits  *bitmap.Set
 	count int
 	sup   pattern.Supports
 }
@@ -214,7 +219,7 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 
 		// Serial enumeration with dedup keeps the candidate order (and the
 		// evaluation count) identical for any worker count.
-		var cands []candidate
+		cands := make([]candidate, 0, len(beam)*len(m.conds))
 		seen := map[string]bool{}
 		for pi, be := range beam {
 			for ci, cond := range m.conds {
@@ -231,12 +236,11 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 			}
 		}
 
-		// Parallel counting stage: covers and supports land in per-index
-		// slots.
+		// Parallel counting stage: supports land in per-index slots.
 		m.countAll(level, beam, cands)
 
 		// Serial admission stage: quality, pooling and the next beam.
-		var next []beamEntry
+		next := make([]beamEntry, 0, len(cands))
 		emitted := 0
 		for i := range cands {
 			c := &cands[i]
@@ -263,7 +267,7 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 					emitted++
 				}
 			}
-			next = append(next, beamEntry{set: c.set, key: c.key, bits: c.bits, quality: q})
+			next = append(next, beamEntry{set: c.set, key: c.key, parent: c.parent, cond: c.cond, quality: q})
 		}
 		// Keep the top BeamWidth by quality (deterministic tie-break).
 		sort.Slice(next, func(i, j int) bool {
@@ -275,23 +279,32 @@ func (m *searcher) mineTarget(ctx context.Context, g int, list *topk.List) error
 		if len(next) > m.cfg.BeamWidth {
 			next = next[:m.cfg.BeamWidth]
 		}
+		// Only the kept entries need a cover, for the next level's counts.
+		if level < m.cfg.Depth {
+			for i := range next {
+				e := &next[i]
+				e.bits = beam[e.parent].bits.And(m.condBits[e.cond])
+			}
+		}
 		m.rec.LevelObserve(level, len(cands), len(next), emitted, m.cfg.Workers, time.Since(start))
 		beam = next
 	}
 	return nil
 }
 
-// countAll fills each candidate's cover and supports, fanning out over
-// cfg.Workers. The per-condition bitmaps are built up-front (serially, so
-// the lazy cache stays race-free).
+// countAll fills each candidate's supports, fanning out over
+// cfg.Workers: the parent's cover ANDed with the condition's bitmap is
+// counted against the group masks in one pass, without writing it. The
+// per-condition bitmaps are built up-front (serially, so the lazy cache
+// stays race-free).
 func (m *searcher) countAll(level int, beam []beamEntry, cands []candidate) {
 	for i := range cands {
 		m.condBitmap(cands[i].cond)
 	}
 	core.ForEach(nil, m.cfg.Workers, level, len(cands), func(_, i int) {
 		c := &cands[i]
-		c.bits = beam[c.parent].bits.And(m.condBits[c.cond])
-		counts := m.idx.GroupCounts(c.bits)
+		counts := make([]int, len(m.sizes))
+		m.idx.AndGroupCountsInto(beam[c.parent].bits, m.condBits[c.cond], counts)
 		for _, n := range counts {
 			c.count += n
 		}
