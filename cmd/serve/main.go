@@ -147,9 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	s.Close(*grace)
 	if st != nil {
-		// Jobs are drained; fold the WAL into fresh segments so the next
-		// boot recovers from a clean manifest (a crash-path boot replays
-		// the WAL instead — same state, slower open).
+		// Jobs are drained; write the manifest and truncate the WAL so the
+		// next boot recovers from a clean manifest (a crash-path boot
+		// replays the WAL instead — same state, slower open).
 		if err := st.Checkpoint(); err != nil {
 			fmt.Fprintln(stderr, "serve: checkpoint on shutdown:", err)
 		}

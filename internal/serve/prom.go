@@ -94,7 +94,7 @@ func (s *Server) promFamilies(m ServerMetrics) []obs.Family {
 		fams = append(fams,
 			obs.Counter("sdadcs_store_wal_appends_total", "Records appended to the dataset store's write-ahead log.", float64(h.WALAppends)),
 			obs.Counter("sdadcs_store_wal_fsyncs_total", "Fsync calls acknowledging WAL records.", float64(h.WALFsyncs)),
-			obs.Counter("sdadcs_store_checkpoints_total", "Checkpoints folding the WAL into fresh segment files.", float64(h.Checkpoints)),
+			obs.Counter("sdadcs_store_checkpoints_total", "Checkpoints writing the manifest and truncating the WAL.", float64(h.Checkpoints)),
 			obs.Counter("sdadcs_store_recoveries_total", "Store opens that recovered prior on-disk state.", float64(h.Recoveries)),
 			obs.Counter("sdadcs_store_cold_loads_total", "Datasets decoded from cold segment files on demand.", float64(h.ColdLoads)),
 			obs.Counter("sdadcs_store_corrupt_segments_total", "Segment files that failed integrity checks and were quarantined.", float64(h.CorruptSegments)),

@@ -54,10 +54,6 @@ type dsEntry struct {
 	// is reloaded on demand by Acquire/Get. With no store attached, cold
 	// entries never exist — eviction deletes outright, as before.
 	cold bool
-	// parse options, kept so a persisted entry's store meta can be
-	// rebuilt; zero-valued for entries registered before a store attach.
-	groupColumn      string
-	forceCategorical []string
 }
 
 // Registry holds parsed datasets, content-hash addressed and LRU-bounded
@@ -128,9 +124,7 @@ func (r *Registry) SetStore(st *store.Store) {
 				Groups:       m.Groups,
 				RegisteredAt: m.RegisteredAt,
 			},
-			cold:             true,
-			groupColumn:      m.GroupColumn,
-			forceCategorical: m.ForceCategorical,
+			cold: true,
 		}
 	}
 	r.log.Info("registry rehydrated from store", "datasets", len(r.entries))
@@ -237,7 +231,7 @@ func (r *Registry) Register(name string, csvData []byte, groupColumn string, for
 		}
 		return e.info, nil
 	}
-	e := &dsEntry{info: info, ds: d, groupColumn: groupColumn, forceCategorical: forceCategorical}
+	e := &dsEntry{info: info, ds: d}
 	e.elem = r.order.PushFront(id)
 	r.entries[id] = e
 	r.totalRows += info.Rows
@@ -355,7 +349,6 @@ func (r *Registry) hotEntry(id string) (*dsEntry, bool) {
 		}
 		e2.ds = d
 		e2.cold = false
-		e2.info.Rows = d.Rows() // appended rows folded in by the store
 		e2.elem = r.order.PushFront(id)
 		r.totalRows += e2.info.Rows
 		r.promotions++

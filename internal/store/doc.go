@@ -1,8 +1,8 @@
 // Package store is the on-disk persistence layer of the serving stack: a
 // content-hash-addressed columnar dataset format with CRC-checksummed
-// segments, a write-ahead log for appends with explicit fsync points and
-// truncated-tail-tolerant recovery, and periodic checkpoint/compaction
-// that folds the WAL into fresh segments via atomic rename. It is the
+// segments, a write-ahead log of registrations with explicit fsync points
+// and truncated-tail-tolerant recovery, and periodic checkpoints that
+// write the manifest via atomic rename and truncate the WAL. It is the
 // durability substrate the continuous-deployment shape of contrast-set
 // mining needs (Qian et al., arXiv 1911.04768): a serve restart rehydrates
 // the dataset registry from disk instead of forgetting every upload, and
@@ -20,8 +20,10 @@
 //
 // Put writes the segment file and fsyncs it (file and directory) before
 // the WAL register record is appended and fsynced — a WAL record therefore
-// always refers to durable segments. Append fsyncs the WAL record before
-// acknowledging. Recovery reads MANIFEST.json, then replays the WAL;
+// always refers to durable segments. The only other WAL record is the
+// delete a quarantine logs. A checkpoint makes the manifest durable the
+// same way (temp file, fsync, rename, directory fsync) before it
+// truncates the WAL. Recovery reads MANIFEST.json, then replays the WAL;
 // a torn WAL tail (the record being written when the process died) is
 // truncated and everything before it survives. A checkpoint killed before
 // its atomic rename leaves a *.tmp file that recovery removes; the

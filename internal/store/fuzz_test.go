@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,10 +63,10 @@ func FuzzSegmentReader(f *testing.F) {
 // FuzzWALReplay throws arbitrary bytes at parseWAL, the byte loop behind
 // replayWAL: it must never panic, and the records it returns must be
 // exactly the framed prefix data[:good] — re-framing them reproduces
-// those bytes. Every recAppend payload either decodes or fails with the
-// typed *CorruptError, and replaying the truncated image again yields the
-// same records with no torn tail left. Seeded with a real
-// register/append/delete log plus torn tails and bit-flipped copies of it.
+// those bytes — and replaying the truncated image again yields the same
+// records with no torn tail left. Seeded with the log a store writes
+// (register, quarantine delete, re-register) plus torn tails and
+// bit-flipped copies of it.
 func FuzzWALReplay(f *testing.F) {
 	valid := sampleWAL(f)
 	f.Add(valid)
@@ -81,7 +80,7 @@ func FuzzWALReplay(f *testing.F) {
 		mut[off] ^= 0x10
 		f.Add(mut)
 	}
-	f.Add(append(append([]byte(nil), valid...), 0x31, 0x4C, 0x57, 0x53, recAppend, 0xFF, 0, 0, 0, 0xDE, 0xAD))
+	f.Add(append(append([]byte(nil), valid...), 0x31, 0x4C, 0x57, 0x53, recRegister, 0xFF, 0, 0, 0, 0xDE, 0xAD))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good := parseWAL(data)
@@ -94,17 +93,6 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if !bytes.Equal(framed, data[:good]) {
 			t.Fatalf("%d records re-frame to %d bytes, not the %d-byte prefix", len(recs), len(framed), good)
-		}
-		for i, r := range recs {
-			if r.typ != recAppend {
-				continue
-			}
-			if _, _, err := decodeBatch(r.payload); err != nil {
-				var ce *CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("record %d: untyped append decode error: %v", i, err)
-				}
-			}
 		}
 		again, good2 := parseWAL(data[:good])
 		if good2 != good {
@@ -121,8 +109,9 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// sampleWAL returns the log a store writes for a register, an append and
-// a delete of the sample dataset.
+// sampleWAL returns the log a store writes when the sample dataset is
+// registered, its segment fails its CRC at load time (the quarantine
+// logs a delete), and it is registered again.
 func sampleWAL(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -130,20 +119,24 @@ func sampleWAL(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatalf("Open: %v", err)
 	}
-	m := sampleMeta()
-	if err := s.Put(sampleDataset(tb), m); err != nil {
+	d, m := sampleDataset(tb), sampleMeta()
+	if err := s.Put(d, m); err != nil {
 		tb.Fatalf("Put: %v", err)
 	}
-	batch := &RowBatch{
-		Cont:   [][]float64{{30.5, math.NaN()}, {2.0, 1.1}},
-		Cat:    [][]string{{"m4", "m1"}, {"west", "north"}},
-		Groups: []string{"ok", "fail"},
+	segPath := filepath.Join(dir, m.ID+segSuffix)
+	seg, err := os.ReadFile(segPath)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if err := s.Append(m.ID, batch); err != nil {
-		tb.Fatalf("Append: %v", err)
+	seg[len(segMagic)+20] ^= 0x40
+	if err := os.WriteFile(segPath, seg, 0o644); err != nil {
+		tb.Fatal(err)
 	}
-	if err := s.Delete(m.ID); err != nil {
-		tb.Fatalf("Delete: %v", err)
+	if _, _, err := s.Load(m.ID); !errors.Is(err, ErrCorrupt) {
+		tb.Fatalf("Load of flipped segment: %v, want ErrCorrupt", err)
+	}
+	if err := s.Put(d, m); err != nil {
+		tb.Fatalf("re-Put: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		tb.Fatalf("Close: %v", err)
@@ -152,8 +145,14 @@ func sampleWAL(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if recs, good := parseWAL(data); len(recs) != 3 || good != len(data) {
+	recs, good := parseWAL(data)
+	if len(recs) != 3 || good != len(data) {
 		tb.Fatalf("sample log: %d records, %d of %d bytes intact", len(recs), good, len(data))
+	}
+	for i, typ := range []byte{recRegister, recDelete, recRegister} {
+		if recs[i].typ != typ {
+			tb.Fatalf("sample log record %d has type %d, want %d", i, recs[i].typ, typ)
+		}
 	}
 	return data
 }

@@ -85,13 +85,10 @@ type Meta struct {
 	// registered with; together with the CSV bytes they determine ID.
 	GroupColumn      string   `json:"group_column"`
 	ForceCategorical []string `json:"force_categorical,omitempty"`
-	// Rows is the current row count (base segments plus WAL appends).
+	// Rows is the dataset's row count.
 	Rows int `json:"rows"`
-	// Attrs counts attributes; ContCols/CatCols split them by kind so
-	// appended row batches can be shape-checked without loading segments.
-	Attrs    int `json:"attrs"`
-	ContCols int `json:"cont_cols"`
-	CatCols  int `json:"cat_cols"`
+	// Attrs counts attributes.
+	Attrs int `json:"attrs"`
 	// Groups is the group name table in code order.
 	Groups []string `json:"groups"`
 	// RegisteredAt is the first registration time.
@@ -120,8 +117,6 @@ type segMeta struct {
 func metaFor(d *dataset.Dataset, m Meta) Meta {
 	m.Rows = d.Rows()
 	m.Attrs = d.NumAttrs()
-	m.ContCols = len(d.ContinuousAttrs())
-	m.CatCols = len(d.CategoricalAttrs())
 	m.Groups = append([]string(nil), d.GroupNames()...)
 	return m
 }
