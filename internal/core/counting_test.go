@@ -82,10 +82,10 @@ func countingDigest(r Result) []string {
 	return lines
 }
 
-// readCountingGolden parses the digest file into its "== <case>" sections.
-func readCountingGolden(t *testing.T) map[string][]string {
+// readGoldenSections parses a digest file into its "== <case>" sections.
+func readGoldenSections(t *testing.T, path string) map[string][]string {
 	t.Helper()
-	f, err := os.Open(countingGoldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func readCountingGolden(t *testing.T) map[string][]string {
 // scores and test statistics, same classifications, same work counters
 // and per-level frontier sizes — sequentially and with parallel workers.
 func TestCountingGoldenEquality(t *testing.T) {
-	golden := readCountingGolden(t)
+	golden := readGoldenSections(t, countingGoldenPath)
 	for _, tc := range countingGoldenCases() {
 		want, ok := golden[tc.name]
 		if !ok {
