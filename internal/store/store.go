@@ -258,12 +258,20 @@ func (s *Store) walAppend(typ byte, payload []byte) error {
 
 // writeFile makes data durable as <dir>/<name>: it writes a temp file,
 // fsyncs it, renames it into place and fsyncs the directory. Any failure
-// removes the temp file and leaves the previous <name> as it was.
+// removes the temp file and leaves the previous <name> as it was. Each
+// call writes its own temp file, <name>.<random>.tmp, so concurrent
+// writers of one name (two Puts of one ID) never share it; Open's *.tmp
+// sweep removes the leftovers of a crash.
 func (s *Store) writeFile(name string, data []byte) error {
 	path := filepath.Join(s.dir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.CreateTemp(s.dir, name+".*.tmp")
 	if err != nil {
+		return fmt.Errorf("store: creating %s: %w", name, err)
+	}
+	tmp := f.Name()
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return fmt.Errorf("store: creating %s: %w", name, err)
 	}
 	if _, err := f.Write(data); err != nil {

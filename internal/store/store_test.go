@@ -473,9 +473,44 @@ func TestCheckpointSparesInFlightPut(t *testing.T) {
 	}
 }
 
+// TestConcurrentPutsOfOneID races two Puts of the same dataset on a fresh
+// store, as two registrations of identical bytes do: both must succeed,
+// and the stored dataset must load back bit-identical.
+func TestConcurrentPutsOfOneID(t *testing.T) {
+	d := sampleDataset(t)
+	for round := 0; round < 50; round++ {
+		s, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for w := range errs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = s.Put(d, sampleMeta())
+			}(w)
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: Put %d: %v", round, w, err)
+			}
+		}
+		got, _, err := s.Load(sampleMeta().ID)
+		if err != nil {
+			t.Fatalf("round %d: Load: %v", round, err)
+		}
+		requireSameDataset(t, d, got)
+		s.Close()
+	}
+}
+
 // TestCheckpointManifestFailureKeepsWAL makes the manifest write fail (a
-// directory squats on its temp path): Checkpoint must fail before it
-// truncates the WAL, so every registration survives a reopen.
+// directory squats on the manifest's path, so the rename fails):
+// Checkpoint must fail before it truncates the WAL and leave no temp file,
+// so every registration survives a reopen.
 func TestCheckpointManifestFailureKeepsWAL(t *testing.T) {
 	dir := t.TempDir()
 	d := sampleDataset(t)
@@ -490,11 +525,12 @@ func TestCheckpointManifestFailureKeepsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := os.Mkdir(filepath.Join(dir, manifestName+".tmp"), 0o755); err != nil {
+	squat := filepath.Join(dir, manifestName)
+	if err := os.Mkdir(squat, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err == nil {
-		t.Fatalf("Checkpoint succeeded with its manifest temp path taken")
+		t.Fatalf("Checkpoint succeeded with its manifest path taken")
 	}
 	if h := s.Health(); h.Checkpoints != 0 {
 		t.Fatalf("failed checkpoint counted: %+v", h)
@@ -506,8 +542,11 @@ func TestCheckpointManifestFailureKeepsWAL(t *testing.T) {
 	if !bytes.Equal(after, before) {
 		t.Fatalf("wal is %d bytes after the failed checkpoint, want the %d it had", len(after), len(before))
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("manifest written by a failed checkpoint: %v", err)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed checkpoint left temp files %v", tmps)
+	}
+	if err := os.Remove(squat); err != nil {
+		t.Fatalf("the squatting directory holds a manifest written by a failed checkpoint: %v", err)
 	}
 	s.Close()
 
