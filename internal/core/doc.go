@@ -17,7 +17,8 @@
 // Pruning (§4.3) is table-driven: spaces failing the minimum-deviation,
 // expected-count, CLT-redundancy or purity rules are recorded in a lookup
 // table keyed by canonical itemset, so any later combination whose box has
-// a pruned subset is cut without recounting. Meaningfulness filters —
+// a pruned subset is cut without recounting (a categorical candidate as
+// the level is generated, before it is built). Meaningfulness filters —
 // productive (Eq. 17), independently productive, non-redundant — run as a
 // final pass and can be disabled to obtain the SDAD-CS NP variant used in
 // the paper's quantitative comparison.

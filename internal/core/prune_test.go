@@ -196,7 +196,7 @@ func TestPruneTableMatchesKeyTable(t *testing.T) {
 		}
 		return pattern.NewItemset(items...)
 	}
-	hits := 0
+	hits, candidates := 0, 0
 	for trial := 0; trial < 200; trial++ {
 		table, naive := make(pruneTable), map[string]bool{}
 		for k := rng.Intn(12); k > 0; k-- {
@@ -223,6 +223,20 @@ func TestPruneTableMatchesKeyTable(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d: %q: compact table hit %v, Key table hit %v", trial, set.Key(), got, want)
 			}
+			// Probed as a candidate, its prefix plus its last item, as
+			// generation does when no subset of the prefix and not set
+			// itself is recorded, set is cut by the same first subset.
+			if n := set.Len(); n > 0 && !naive[set.Key()] {
+				last := set.Item(n - 1)
+				prefix := set.Without(last.Attr)
+				if _, cut := table.prunedSubset(prefix); !cut {
+					candidates++
+					if cmask, chit := table.prunedSubset(prefix, last); chit != got || cmask != mask {
+						t.Fatalf("trial %d: %q as a candidate: hit %v by mask %b, full probe hit %v by mask %b",
+							trial, set.Key(), chit, cmask, got, mask)
+					}
+				}
+			}
 			if got {
 				hits++
 				if key := subsetKey(set, mask); key != wantKey {
@@ -231,7 +245,7 @@ func TestPruneTableMatchesKeyTable(t *testing.T) {
 			}
 		}
 	}
-	if hits == 0 {
-		t.Fatal("no lookup hit drawn: the property was not exercised")
+	if hits == 0 || candidates == 0 {
+		t.Fatalf("%d lookup hits and %d candidate probes drawn: the property was not exercised", hits, candidates)
 	}
 }

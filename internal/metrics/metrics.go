@@ -247,7 +247,8 @@ func (r *Recorder) LevelObserve(level, nodes, survivors, contrasts, workers int,
 
 // NodeEval records one node evaluation at a level: its duration feeds both
 // the level's summed evaluation time and the global latency histogram.
-// Called concurrently by per-level workers.
+// Called concurrently by per-level workers, once per frontier node they
+// evaluate; a candidate cut at generation is not observed.
 func (r *Recorder) NodeEval(level int, d time.Duration) {
 	if r == nil {
 		return
