@@ -25,7 +25,8 @@ const allocTolerance = 0.005
 // mine shapes at one worker, of the continuous shape mined with a
 // default-capacity decision tracer (as a serve job's trace replay is), of
 // the subgroup beam search on a 1,000-row Adult at default settings, and
-// of loading the categorical shape from CSV against testdata/allocs.txt. Allocation counts, unlike wall times, do
+// of loading each mine shape from CSV against testdata/allocs.txt.
+// Allocation counts, unlike wall times, do
 // not vary between runs, so a regression fails here on every push. Map
 // internals change the counts between Go releases, so the file names the
 // toolchain it was recorded with and the test skips on any other. A change
@@ -40,8 +41,11 @@ func TestAllocRatchet(t *testing.T) {
 	cat := datagen.Planted(datagen.UCISpec{Name: "categorical-shape", Group0: "a", Group1: "b",
 		N0: 18000, N1: 14000, Cat: 24, Cont: 0, Strength: 0.5, Seed: 12})
 	adult := datagen.Adult(datagen.AdultConfig{Seed: 1, Bachelors: 930, Doctorate: 70})
-	var csv bytes.Buffer
+	var csv, contCSV bytes.Buffer
 	if err := dataset.WriteCSV(&csv, cat, "group"); err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(&contCSV, cont, "group"); err != nil {
 		t.Fatal(err)
 	}
 	workloads := map[string]func(){
@@ -53,6 +57,11 @@ func TestAllocRatchet(t *testing.T) {
 		"subgroup-adult-shape": func() { subgroup.Mine(adult, subgroup.Config{}) },
 		"fromcsv-categorical-shape": func() {
 			if _, err := dataset.FromCSV(bytes.NewReader(csv.Bytes()), dataset.CSVOptions{GroupColumn: "group"}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"fromcsv-continuous-shape": func() {
+			if _, err := dataset.FromCSV(bytes.NewReader(contCSV.Bytes()), dataset.CSVOptions{GroupColumn: "group"}); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -133,26 +133,36 @@ type Index struct {
 
 // NewIndex builds the index over d's categorical attributes and groups.
 func NewIndex(d *dataset.Dataset) *Index {
-	n := d.Rows()
-	idx := &Index{n: n, values: make([][]*Set, d.NumAttrs()), groups: make([]*Set, d.NumGroups())}
-	for g := range idx.groups {
-		idx.groups[g] = New(n)
-	}
-	for r := 0; r < n; r++ {
-		idx.groups[d.Group(r)].Add(r)
-	}
+	idx := &Index{n: d.Rows(), values: make([][]*Set, d.NumAttrs())}
+	idx.groups = codeSets(d.GroupCodes(), d.NumGroups())
 	for _, attr := range d.CategoricalAttrs() {
-		domain := d.Domain(attr)
-		sets := make([]*Set, len(domain))
-		for code := range sets {
-			sets[code] = New(n)
-		}
-		for r := 0; r < n; r++ {
-			sets[d.CatCode(attr, r)].Add(r)
-		}
-		idx.values[attr] = sets
+		idx.values[attr] = codeSets(d.CatCodes(attr), len(d.Domain(attr)))
 	}
 	return idx
+}
+
+// codeSets returns, for a column of codes in [0, k), the set of rows
+// holding each code. The sets share one backing array and are built a
+// word at a time: each block of 64 rows ORs its bits straight into word w
+// of its codes' sets, with no per-row Add. Only rows of the column set a
+// bit, so padding bits stay zero.
+func codeSets(codes []int, k int) []*Set {
+	n := len(codes)
+	nw := (n + 63) / 64
+	words := make([]uint64, k*nw)
+	sets := make([]Set, k)
+	out := make([]*Set, k)
+	for c := range sets {
+		sets[c] = Set{words: words[c*nw : (c+1)*nw : (c+1)*nw], n: n}
+		out[c] = &sets[c]
+	}
+	for w := 0; w < nw; w++ {
+		block := codes[w*64 : min(n, w*64+64)]
+		for j, c := range block {
+			words[c*nw+w] |= 1 << uint(j)
+		}
+	}
+	return out
 }
 
 // Rows returns the universe size.

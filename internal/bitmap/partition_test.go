@@ -45,3 +45,29 @@ func TestNewIndexPartitionsUniverse(t *testing.T) {
 		}
 	}
 }
+
+// TestNewIndexMatchesRows: every bitmap NewIndex builds a word at a time
+// holds exactly the rows whose code it stands for, on row counts around
+// word boundaries and on domains wider than a word.
+func TestNewIndexMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, domain := range []int{1, 5, 70} {
+		for _, rows := range []int{2, 63, 64, 65, 128, 1001} {
+			d := kernelDataset(rng, rows, domain, 3)
+			ix := NewIndex(d)
+			for row := 0; row < rows; row++ {
+				for code := range d.Domain(0) {
+					if got, want := ix.Value(0, code).Contains(row), d.CatCode(0, row) == code; got != want {
+						t.Fatalf("domain %d rows %d: row %d in value %d's bitmap is %v, want %v", domain, rows, row, code, got, want)
+					}
+				}
+				for g := 0; g < d.NumGroups(); g++ {
+					if got, want := ix.Group(g).Contains(row), d.Group(row) == g; got != want {
+						t.Fatalf("domain %d rows %d: row %d in group %d's mask is %v, want %v", domain, rows, row, g, got, want)
+					}
+				}
+			}
+			checkPartition(t, ix, fmt.Sprintf("domain=%d rows=%d", domain, rows))
+		}
+	}
+}

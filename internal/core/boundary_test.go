@@ -55,7 +55,7 @@ func TestExploreBoundaryRowsExcluded(t *testing.T) {
 		contAttrs: []int{0},
 		alpha:     cfg.Alpha,
 		threshold: cfg.scoreFloor(),
-		memo:      newSupportMemo(d, bitmap.NewIndex(d)),
+		memo:      newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes()),
 		scratch:   new(sdadScratch),
 		table:     make(pruneTable),
 		sizes:     d.GroupSizes(),

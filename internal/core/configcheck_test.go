@@ -193,7 +193,7 @@ func TestSDADRunCancelledContext(t *testing.T) {
 		prune:     AllPruning(),
 		contAttrs: []int{0, 1, 2},
 		alpha:     cfg.Alpha,
-		memo:      newSupportMemo(d, bitmap.NewIndex(d)),
+		memo:      newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes()),
 		scratch:   new(sdadScratch),
 		table:     make(pruneTable),
 		sizes:     d.GroupSizes(),

@@ -73,7 +73,7 @@ func TestCoversMaterializeOnlyForParents(t *testing.T) {
 	rec := metrics.New()
 	m := &miner{d: d, cfg: &cfg, prune: cfg.pruning(), sizes: d.GroupSizes(),
 		list: topk.New(cfg.TopK, cfg.scoreFloor()), table: make(pruneTable),
-		memo: newSupportMemo(d, ix), scratch: make([]sdadScratch, 1), index: ix, rec: rec}
+		memo: newSupportMemo(d, ix, d.GroupSizes()), scratch: make([]sdadScratch, 1), index: ix, rec: rec}
 	attrs := []int{0, 1}
 	schedule := stats.NewBonferroniSchedule(cfg.Alpha)
 

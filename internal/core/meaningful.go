@@ -61,7 +61,7 @@ func (m Meaningfulness) verdict() string {
 // exactly as Mine does.
 func Classify(d *dataset.Dataset, cs []pattern.Contrast, alpha float64) []Meaningfulness {
 	ix, _ := bitmap.Shared(d)
-	return classify(d, cs, alpha, newSupportMemo(d, ix))
+	return classify(d, cs, alpha, newSupportMemo(d, ix, d.GroupSizes()))
 }
 
 // classify is Classify over a caller's support memo, so MineContext can

@@ -91,7 +91,7 @@ func TestSupportMemoEqualsRowScan(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		d := memoDataset(rng)
-		memo := newSupportMemo(d, bitmap.NewIndex(d))
+		memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 		for i := 0; i < 60; i++ {
 			set := randomItemset(rng, d)
 			got := memo.supports(set)
@@ -116,7 +116,7 @@ func TestSupportMemoConcurrent(t *testing.T) {
 		sets[i] = randomItemset(rng, d)
 		want[i] = pattern.SupportsOf(sets[i], d.All()).Count
 	}
-	memo := newSupportMemo(d, bitmap.NewIndex(d))
+	memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 	var wg sync.WaitGroup
 	errs := make(chan string, 2*len(sets))
 	for w := 0; w < 2; w++ {

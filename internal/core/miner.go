@@ -56,7 +56,7 @@ func MineContext(ctx context.Context, d *dataset.Dataset, cfg Config) (Result, e
 	// intersection of these and every support count a popcount against a
 	// group mask.
 	m.index = SharedIndex(d, m.rec)
-	m.memo = newSupportMemo(d, m.index)
+	m.memo = newSupportMemo(d, m.index, m.sizes)
 	m.scratch = make([]sdadScratch, max(cfg.Workers, 1))
 	attrs := cfg.Attrs
 	if attrs == nil {

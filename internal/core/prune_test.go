@@ -63,7 +63,7 @@ func prunableDataset(t *testing.T) *dataset.Dataset {
 
 func TestEvaluatePruningMinDeviation(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d, bitmap.NewIndex(d))
+	memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All()) // ~5% support in A only
 	dec := evaluatePruning(AllPruning(), set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo, nil, nil, 1, 0)
@@ -74,7 +74,7 @@ func TestEvaluatePruningMinDeviation(t *testing.T) {
 
 func TestEvaluatePruningPureSpace(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d, bitmap.NewIndex(d))
+	memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 	set := pattern.NewItemset(pattern.RangeItem(0, -1, 150))
 	sup := pattern.SupportsOf(set, d.All()) // 150 A rows, 0 B rows: pure
 	if sup.PR() != 1 {
@@ -94,7 +94,7 @@ func TestEvaluatePruningPureSpace(t *testing.T) {
 
 func TestEvaluatePruningDisabled(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d, bitmap.NewIndex(d))
+	memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 10))
 	sup := pattern.SupportsOf(set, d.All())
 	dec := evaluatePruning(Pruning{}, set, sup, 0.1, 0.05, chiSquareCrit(0.05, 2), d.Rows(), memo, nil, nil, 1, 0)
@@ -107,7 +107,7 @@ func TestRedundantByCLTDetectsSubsumption(t *testing.T) {
 	// pregnant ⊂ female: {female, pregnant} has identical supports to
 	// {pregnant}, hence identical diff — within any CLT bound.
 	d := femalePregnant(t)
-	memo := newSupportMemo(d, bitmap.NewIndex(d))
+	memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 	set := pattern.NewItemset(item(d, "sex", "female"), item(d, "pregnant", "yes"))
 	sup := memo.supports(set)
 	det, redundant := redundantByCLT(set, sup, 0.05, memo)
@@ -123,7 +123,7 @@ func TestRedundantByCLTKeepsRealRefinement(t *testing.T) {
 	// A genuine refinement: restricting the range sharply changes the
 	// difference relative to both one-item subsets.
 	d := datagen2x(t)
-	memo := newSupportMemo(d, bitmap.NewIndex(d))
+	memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 	set := pattern.NewItemset(
 		pattern.RangeItem(0, -1, 0.5),
 		pattern.RangeItem(1, -1, 0.5),
@@ -161,7 +161,7 @@ func datagen2x(t *testing.T) *dataset.Dataset {
 
 func TestSupportMemoCaches(t *testing.T) {
 	d := prunableDataset(t)
-	memo := newSupportMemo(d, bitmap.NewIndex(d))
+	memo := newSupportMemo(d, bitmap.NewIndex(d), d.GroupSizes())
 	set := pattern.NewItemset(pattern.RangeItem(0, 0, 100))
 	a := memo.supports(set)
 	b := memo.supports(set)
