@@ -1,9 +1,11 @@
 package dataset
 
 // referenceFromCSV is the two-pass CSV loader, kept verbatim apart from
-// its names as the differential reference FuzzFromCSV holds FromCSV to: it
-// reads the whole file as [][]string, transposes it into columns, and tries
-// every non-forced column as floats before falling back to categorical.
+// its names and its encoding as the differential reference FuzzFromCSV
+// holds FromCSV to: it reads the whole file as [][]string, transposes it
+// into columns, and tries every non-forced column as floats before falling
+// back to categorical. It encodes categorical columns with a map of its
+// own, not the loader's interner, so the fuzzer checks that too.
 
 import (
 	"encoding/csv"
@@ -77,10 +79,28 @@ func referenceFromCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 				continue
 			}
 		}
-		b.AddCategorical(h, raw[i])
+		codes, domain := referenceEncode(raw[i])
+		b.AddCategoricalCoded(h, codes, domain)
 	}
-	b.SetGroups(raw[groupCol])
+	b.SetGroupsCoded(referenceEncode(raw[groupCol]))
 	return b.Build()
+}
+
+// referenceEncode maps strings to dense codes in first-appearance order.
+func referenceEncode(values []string) ([]int, []string) {
+	codes := make([]int, len(values))
+	index := make(map[string]int)
+	var domain []string
+	for i, v := range values {
+		c, ok := index[v]
+		if !ok {
+			c = len(domain)
+			index[v] = c
+			domain = append(domain, v)
+		}
+		codes[i] = c
+	}
+	return codes, domain
 }
 
 // referenceParseAllFloats parses every string as float64, reporting ok=false on the

@@ -145,7 +145,8 @@ func FromCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 	return dataset.FromCSV(r, opts)
 }
 
-// WriteCSV writes a dataset (attributes plus a trailing group column).
+// WriteCSV writes a dataset (attributes plus a trailing group column). It
+// fails if an attribute is named groupColumn.
 func WriteCSV(w io.Writer, d *Dataset, groupColumn string) error {
 	return dataset.WriteCSV(w, d, groupColumn)
 }
