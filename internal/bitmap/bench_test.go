@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -25,28 +26,6 @@ func benchData(n int) *dataset.Dataset {
 		MustBuild()
 }
 
-// BenchmarkCoverCountBitmap measures the bitmap path: intersect two value
-// bitmaps and popcount per group.
-func BenchmarkCoverCountBitmap(b *testing.B) {
-	d := benchData(100000)
-	ix := NewIndex(d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cover := ix.Value(0, 1).And(ix.Value(1, 2))
-		ix.GroupCounts(cover)
-	}
-}
-
-// BenchmarkCoverCountView measures the equivalent row-scan path the miner
-// would otherwise use.
-func BenchmarkCoverCountView(b *testing.B) {
-	d := benchData(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.All().FilterCat(0, 1).FilterCat(1, 2).GroupCounts()
-	}
-}
-
 func BenchmarkIndexBuild(b *testing.B) {
 	d := benchData(100000)
 	b.ResetTimer()
@@ -55,15 +34,34 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkAndGroupCounts measures the frontier's counting kernel: a
-// lazy cover (parent ∧ value bitmap) popcounted against both group masks
-// in one pass, with no intersection written.
+// BenchmarkAndGroupCounts measures the frontier's two-group counting
+// kernel: a lazy cover (parent ∧ value bitmap) popcounted against both
+// group masks in one pass, with no intersection written. It runs at the
+// cover sizes the repository benchmark's workloads count: 16 words
+// (stream-drift's 1,000-row window), 40 words (serve-mixed's 2,500-row
+// dataset) and 500 words (mine-categorical's 32,000 rows).
+// kernel=avx512 runs AndGroupCountsInto where it takes the vector kernel;
+// kernel=scalar runs the Go loop every other CPU runs.
 func BenchmarkAndGroupCounts(b *testing.B) {
-	d := benchData(100000)
-	ix := NewIndex(d)
-	counts := make([]int, d.NumGroups())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.AndGroupCountsInto(ix.Value(0, 1), ix.Value(1, 2), counts)
+	for _, words := range []int{16, 40, 500} {
+		d := benchData(words * 64)
+		ix := NewIndex(d)
+		a, v := ix.Value(0, 1), ix.Value(1, 2)
+		counts := make([]int, d.NumGroups())
+		b.Run(fmt.Sprintf("words=%d/kernel=avx512", words), func(b *testing.B) {
+			if !useAVX512 {
+				b.Skip("this CPU has no AVX-512 kernel")
+			}
+			for i := 0; i < b.N; i++ {
+				ix.AndGroupCountsInto(a, v, counts)
+			}
+		})
+		b.Run(fmt.Sprintf("words=%d/kernel=scalar", words), func(b *testing.B) {
+			g0 := ix.Group(0).words
+			for i := 0; i < b.N; i++ {
+				t, c0 := andCountScalar(a.words, v.words, g0)
+				counts[0], counts[1] = c0, t-c0
+			}
+		})
 	}
 }

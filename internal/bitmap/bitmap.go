@@ -184,28 +184,19 @@ func (ix *Index) Value(attr, code int) *Set { return ix.values[attr][code] }
 // Group returns the bitmap of rows in group g.
 func (ix *Index) Group(g int) *Set { return ix.groups[g] }
 
-// GroupCounts popcounts a cover against every group mask.
-func (ix *Index) GroupCounts(cover *Set) []int {
-	out := make([]int, len(ix.groups))
-	ix.GroupCountsInto(cover, out)
-	return out
-}
-
-// GroupCountsInto is the fused multi-mask popcount kernel: one pass over
-// the cover's words counts the intersection with every group mask at once,
-// so each cover word is loaded exactly once and zero cover words are
-// skipped for all groups together (deep-level covers are sparse). The
-// result is written into out (len = number of groups) and is exactly
-// GroupCounts — the bit-identical guarantee the golden-equality tests pin.
+// GroupCountsInto popcounts a cover against every group mask in one pass
+// over the cover's words, writing the counts into out (len = number of
+// groups). It is AndGroupCountsInto with a nil b.
 func (ix *Index) GroupCountsInto(cover *Set, out []int) {
 	ix.AndGroupCountsInto(cover, nil, out)
 }
 
 // AndGroupCountsInto counts the lazy cover a ∩ b against every group mask
-// in the same single pass, without writing the intersection anywhere: the
+// in a single pass, without writing the intersection anywhere: the
 // per-group counts of a child candidate whose cover is its parent's cover
 // ANDed with one value bitmap. A nil b means a alone. a and b are sets
-// over the index's universe, with zero padding bits.
+// over the index's universe, with zero padding bits. The two-group case
+// runs andCount, which is an AVX-512 kernel on CPUs that have one.
 func (ix *Index) AndGroupCountsInto(a, b *Set, out []int) {
 	for g := range out {
 		out[g] = 0
@@ -221,15 +212,11 @@ func (ix *Index) AndGroupCountsInto(a, b *Set, out []int) {
 		// partition the universe and padding bits are zero (the Index
 		// invariant), so group 1's count is the cover's total minus group
 		// 0's: three word streams (a, b, group 0) and no branch per word.
-		g0 := ix.groups[0].words[:len(aw)]
-		t, c0 := 0, 0
-		for i, w := range aw {
-			w &= bw[i]
-			t += bits.OnesCount64(w)
-			c0 += bits.OnesCount64(w & g0[i])
-		}
+		t, c0 := andCount(aw, bw, ix.groups[0].words[:len(aw)])
 		out[0], out[1] = c0, t-c0
 	default:
+		// Zero words of a ∩ b are skipped for all groups at once
+		// (deep-level covers are sparse).
 		for i, w := range aw {
 			w &= bw[i]
 			if w == 0 {
@@ -240,6 +227,20 @@ func (ix *Index) AndGroupCountsInto(a, b *Set, out []int) {
 			}
 		}
 	}
+}
+
+// andCountScalar returns the popcounts of a ∩ b and of a ∩ b ∩ g0 over
+// len(a) words (b and g0 are at least that long). It is the two-group
+// count on every CPU without the AVX-512 kernel, that kernel's tail, and
+// the reference its tests hold it to.
+func andCountScalar(a, b, g0 []uint64) (t, c0 int) {
+	b, g0 = b[:len(a)], g0[:len(a)]
+	for i, w := range a {
+		w &= b[i]
+		t += bits.OnesCount64(w)
+		c0 += bits.OnesCount64(w & g0[i])
+	}
+	return t, c0
 }
 
 // All returns a full-universe set.

@@ -147,7 +147,8 @@ func TestIndexMatchesViews(t *testing.T) {
 	if cover.Count() != viewCover.Len() {
 		t.Errorf("joint cover: %d vs %d", cover.Count(), viewCover.Len())
 	}
-	counts := ix.GroupCounts(cover)
+	counts := make([]int, d.NumGroups())
+	ix.GroupCountsInto(cover, counts)
 	viewCounts := viewCover.GroupCounts()
 	for g := range counts {
 		if counts[g] != viewCounts[g] {

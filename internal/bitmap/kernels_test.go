@@ -128,7 +128,7 @@ func kernelDataset(rng *rand.Rand, rows, domain, groups int) *dataset.Dataset {
 func TestGroupCountsIntoMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, groups := range []int{2, 3, 5} {
-		for _, rows := range []int{7, 63, 64, 65, 130, 1001, 4113} {
+		for _, rows := range []int{7, 63, 64, 65, 130, 511, 512, 513, 1001, 1023, 1025, 4113} {
 			d := kernelDataset(rng, rows, 6, groups)
 			ix := NewIndex(d)
 			for trial := 0; trial < 10; trial++ {
@@ -148,6 +148,68 @@ func TestGroupCountsIntoMatchesNaive(t *testing.T) {
 						t.Fatalf("groups=%d rows=%d g=%d: fused a∩b %d, naive %d",
 							groups, rows, g, lazy[g], want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// kernelName names the two-group path AndGroupCountsInto takes here.
+func kernelName() string {
+	if useAVX512 {
+		return "avx512"
+	}
+	return "scalar"
+}
+
+// TestAndCountScalarMatchesNaive holds the scalar two-group loop, the only
+// path off amd64 and on CPUs without AVX-512, to the two-pass And+Count on
+// random covers and group masks, so a host that runs the vector kernel
+// still tests it.
+func TestAndCountScalarMatchesNaive(t *testing.T) {
+	t.Logf("AndGroupCountsInto two-group kernel: %s", kernelName())
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{0, 1, 63, 64, 65, 511, 512, 513, 1023, 1025, 4113} {
+		for trial := 0; trial < 10; trial++ {
+			a := randomSet(rng, n, rng.Float64())
+			b := randomSet(rng, n, rng.Float64())
+			g0 := randomSet(rng, n, rng.Float64())
+			inter, wantT := naiveAndCount(a, b)
+			_, wantC0 := naiveAndCount(inter, g0)
+			if gotT, gotC0 := andCountScalar(a.words, b.words, g0.words); gotT != wantT || gotC0 != wantC0 {
+				t.Fatalf("n=%d: scalar (%d, %d), naive (%d, %d)", n, gotT, gotC0, wantT, wantC0)
+			}
+		}
+	}
+}
+
+// TestAndCountMatchesScalar: andCount, whichever kernel it runs, equals
+// the scalar loop on word slices of every length from 0 to 40 words and
+// at every start offset within an 8-word block, with random, empty and
+// full words.
+func TestAndCountMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	word := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return ^uint64(0)
+		}
+		return rng.Uint64()
+	}
+	buf := make([]uint64, 3*48)
+	for trial := 0; trial < 20; trial++ {
+		for i := range buf {
+			buf[i] = word()
+		}
+		for n := 0; n <= 40; n++ {
+			for off := 0; off < 8; off++ {
+				a, b, g0 := buf[off:off+n], buf[48+off:48+off+n], buf[96+off:96+off+n]
+				wantT, wantC0 := andCountScalar(a, b, g0)
+				if gotT, gotC0 := andCount(a, b, g0); gotT != wantT || gotC0 != wantC0 {
+					t.Fatalf("n=%d off=%d: %s kernel (%d, %d), scalar (%d, %d)",
+						n, off, kernelName(), gotT, gotC0, wantT, wantC0)
 				}
 			}
 		}
