@@ -21,9 +21,10 @@ func BenchmarkMineMixed(b *testing.B) {
 
 // BenchmarkMineContinuousShape and BenchmarkMineCategoricalShape mine the
 // two dataset shapes of the repository benchmark's mine workloads (the
-// same datagen.UCISpec sizes, other seeds) at 1 and at 2 workers — the
+// same datagen.UCISpec sizes, other seeds), and BenchmarkMineStreamShape
+// the size of one stream-drift window, at 1 and at 2 workers — the
 // repository benchmark mines at one worker per CPU — so a CPU or
-// allocation profile of either needs no separate harness:
+// allocation profile of any needs no separate harness:
 //
 //	go test -run '^$' -bench 'MineContinuousShape/workers=1' -benchtime 20x \
 //		-cpuprofile cpu.out -memprofile mem.out ./internal/core
@@ -37,6 +38,14 @@ func BenchmarkMineCategoricalShape(b *testing.B) {
 	d := datagen.Planted(datagen.UCISpec{Name: "categorical-shape", Group0: "a", Group1: "b",
 		N0: 18000, N1: 14000, Cat: 24, Cont: 0, Strength: 0.5, Seed: 12})
 	benchMineShape(b, d, 3)
+}
+
+// BenchmarkMineStreamShape mines a 1,000-row, 14-feature manufacturing
+// window, where most SDAD-CS runs start from a categorical cover.
+func BenchmarkMineStreamShape(b *testing.B) {
+	d := datagen.Manufacturing(datagen.ManufacturingConfig{
+		Seed: 13, Population: 800, Failed: 200, Features: 14})
+	benchMineShape(b, d, 2)
 }
 
 func benchMineShape(b *testing.B, d *dataset.Dataset, depth int) {

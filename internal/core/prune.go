@@ -308,11 +308,13 @@ type supportMemo struct {
 }
 
 // sortedColumn is a continuous attribute's non-NaN values in ascending
-// order, each paired with its row.
+// order, each paired with its row. rows has the row type of a
+// dataset.View, so an SDAD-CS run that starts from the whole dataset
+// fills its root boxes in this order without a widened copy.
 type sortedColumn struct {
 	once sync.Once
 	vals []float64
-	rows []int32
+	rows []int
 }
 
 // newSupportMemo returns an empty memo over d and its index. sizes is
@@ -426,7 +428,7 @@ func (m *supportMemo) rangeCover(attr int, iv pattern.Interval) *bitmap.Set {
 	from := sort.Search(len(col.vals), func(i int) bool { return col.vals[i] > iv.Lo })
 	to := sort.Search(len(col.vals), func(i int) bool { return col.vals[i] > iv.Hi })
 	for _, r := range col.rows[from:to] {
-		out.Add(int(r))
+		out.Add(r)
 	}
 	return out
 }
@@ -436,13 +438,13 @@ func (m *supportMemo) column(attr int) *sortedColumn {
 	col := &m.cols[attr]
 	col.once.Do(func() {
 		vals := m.d.ContColumn(attr)
-		rows := make([]int32, 0, len(vals))
+		rows := make([]int, 0, len(vals))
 		for r, v := range vals {
 			if v == v { // NaN matches no range
-				rows = append(rows, int32(r))
+				rows = append(rows, r)
 			}
 		}
-		slices.SortFunc(rows, func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) })
+		slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(vals[a], vals[b]) })
 		col.rows = rows
 		col.vals = make([]float64, len(rows))
 		for i, r := range rows {

@@ -44,6 +44,13 @@ type sdadRun struct {
 	// the per-level goroutine index trace events are attributed to.
 	tr     *trace.Tracer
 	worker int
+	// ordered is the invariant of a run whose root view is the whole
+	// dataset: the root assigns its rows in the memo's sorted-row order of
+	// contAttrs[0] and the counting sort that fills boxes is stable, so
+	// every box below the root lists its rows in ascending contAttrs[0]
+	// order. That attribute's median and maximum in such a box are the
+	// values at its rows (m−1)/2 and m−1. explore sets it at the root.
+	ordered bool
 }
 
 // sdadScratch is one worker's reusable SDAD-CS buffers. A miner owns one
@@ -53,8 +60,12 @@ type sdadRun struct {
 // itemset, count slice and contrast a run hands on (to the tracer, the
 // lookup table or the result) is its own allocation and never reused.
 type sdadScratch struct {
-	vals  []float64 // one attribute's finite values in a box, for its median
-	boxOf []int32   // per view row: the linear index of its box, or -1
+	// vals holds one attribute's finite values in a box, for the selection
+	// of its median: every attribute of a run that starts from a
+	// categorical cover, and every attribute but contAttrs[0] below the
+	// root of an ordered run (see sdadRun.ordered).
+	vals  []float64
+	boxOf []int32 // per row in fill order: the linear index of its box, or -1
 	// cover backs the row view of the node a run starts from
 	// (miner.coverView); it is read-only for the run.
 	cover []int
@@ -126,6 +137,16 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	if level > r.cfg.MaxRecursion || view.Len() < 2 || r.cancelled() {
 		return nil
 	}
+	// order is the sequence the boxes are filled in: the view itself, or
+	// at the root of a whole-dataset run contAttrs[0]'s sorted rows, which
+	// sets up the ordered invariant for every box below.
+	order := view
+	if level == 1 {
+		r.ordered = view.Whole()
+		if r.ordered {
+			order = r.d.Restrict(r.memo.column(r.contAttrs[0]).rows)
+		}
+	}
 
 	// partition(ca): split each attribute at the view's median, within the
 	// box's current range.
@@ -137,7 +158,7 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	for k, attr := range r.contAttrs {
 		cur := currentRange(box, attr)
 		cols[k] = r.d.ContColumn(attr)
-		med, hi := r.medianMax(view, cols[k])
+		med, hi := r.medianMax(view, k, cols[k])
 		if med > cur.Lo && med < hi && med < cur.Hi {
 			choices[k] = splitChoice{iv: [2]pattern.Interval{
 				{Lo: cur.Lo, Hi: med},
@@ -171,14 +192,18 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	//
 	// The spaces' row slices are filled by counting sort: the first pass
 	// records each row's space and counts rows per space, prefix sums give
-	// each space's start, and a second pass fills one backing array in view
-	// order, so every space keeps its rows in view order.
+	// each space's start, and a second pass fills one backing array in
+	// fill order. The sort is stable, so every space keeps its rows in the
+	// order they were visited: an ordered run's boxes ascend on
+	// contAttrs[0] and take that attribute's median by position, while the
+	// boxes of a run from a categorical cover stay in row order and select
+	// every median.
 	totalSpaces := 1
 	for _, ch := range choices {
 		totalSpaces *= ch.n
 	}
 	r.rec.Add(metrics.BoxesExplored, totalSpaces)
-	n := view.Len()
+	n := order.Len()
 	r.scratch.boxOf = resize(r.scratch.boxOf, n)
 	boxOf := r.scratch.boxOf
 	// bounds[b+1] counts space b's rows; after the prefix sum bounds[b] is
@@ -187,7 +212,7 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	bounds := lv.bounds
 	clear(bounds)
 	for i := 0; i < n; i++ {
-		row := view.Row(i)
+		row := order.Row(i)
 		linear := 0
 		mult := 1
 		for k := range choices {
@@ -220,7 +245,7 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	backing := lv.rows
 	for i, b := range boxOf {
 		if b >= 0 {
-			backing[bounds[b]] = view.Row(i)
+			backing[bounds[b]] = order.Row(i)
 			bounds[b]++
 		}
 	}
@@ -257,11 +282,34 @@ func (r *sdadRun) explore(view dataset.View, box pattern.Itemset, level int, par
 	return nil
 }
 
-// medianMax returns the lower-middle median and the maximum of a
-// continuous column over the view's finite values, or (0, 0) when it has
-// none — what View.Median and View.MinMax report — from one pass over the
-// view into the worker's value scratch and one selection.
-func (r *sdadRun) medianMax(view dataset.View, col []float64) (med, hi float64) {
+// medianMax returns the lower-middle median and the maximum of
+// contAttrs[k]'s column col over the view's finite values, or (0, 0) when
+// it has none — what View.Median and View.MinMax report. All three ways
+// follow dataset.QuantileSorted's rule:
+//   - the whole dataset reads them by position off the memo's sorted
+//     column;
+//   - contAttrs[0] in a box of an ordered run reads them by position off
+//     the box's rows, which ascend on it;
+//   - every other box and attribute (each one of a run from a categorical
+//     cover) takes one pass over the view into the worker's value scratch
+//     and one selection.
+//
+// The maximum only feeds a med < hi test, so which zero it returns when
+// the largest value is ±0 does not matter.
+func (r *sdadRun) medianMax(view dataset.View, k int, col []float64) (med, hi float64) {
+	switch {
+	case view.Whole():
+		sorted := r.memo.column(r.contAttrs[k]).vals
+		m := len(sorted)
+		if m == 0 {
+			return 0, 0
+		}
+		return dataset.QuantileSorted(m, 0.5, func(i int) float64 { return sorted[i] }), sorted[m-1]
+	case r.ordered && k == 0:
+		m := view.Len() // every row of a box is finite on contAttrs
+		return dataset.QuantileSorted(m, 0.5, func(i int) float64 { return col[view.Row(i)] }),
+			col[view.Row(m-1)]
+	}
 	vals := r.scratch.vals[:0]
 	n := view.Len()
 	for i := 0; i < n; i++ {

@@ -6,17 +6,12 @@ import (
 )
 
 // QuantileInPlace returns the q-quantile (0 <= q <= 1) of the non-NaN
-// values in vals: the element at index int(q·(m−1)) of their ascending
-// order, m being their count, so that the median of an even-length sample
-// is the lower-middle value. q <= 0 gives the minimum and q >= 1 the
-// maximum. It returns 0 when vals holds no non-NaN value.
+// values in vals, by the rule of QuantileSorted. It returns 0 when vals
+// holds no non-NaN value.
 //
 // vals is reordered in place: NaN values are compacted away and the rest
 // partially ordered by quickselect, so one call costs expected O(len(vals))
-// instead of a sort. The element returned is the one a full ascending sort
-// of the non-NaN values would put at that index, except that a zero is
-// always +0: −0 and +0 compare equal, so which of them lands at the index
-// would otherwise depend on the order of vals.
+// instead of a sort.
 func QuantileInPlace(vals []float64, q float64) float64 {
 	finite := vals[:0]
 	for _, x := range vals {
@@ -24,7 +19,19 @@ func QuantileInPlace(vals []float64, q float64) float64 {
 			finite = append(finite, x)
 		}
 	}
-	m := len(finite)
+	return QuantileSorted(len(finite), q, func(k int) float64 { return selectKth(finite, k) })
+}
+
+// QuantileSorted is the one order-statistic rule of the package: the
+// q-quantile (0 <= q <= 1) of m non-NaN values is the element at index
+// int(q·(m−1)) of their ascending order, so that the median of an
+// even-length sample is the lower-middle value; q <= 0 gives the minimum
+// and q >= 1 the maximum. at(k) must return the element an ascending sort
+// of the values would put at index k; it is called once, and not at all
+// when m is 0, which gives 0. A zero is always returned as +0: −0 and +0
+// compare equal, so which of them an ascending order puts at the index
+// would otherwise depend on the order the values came in.
+func QuantileSorted(m int, q float64, at func(k int) float64) float64 {
 	if m == 0 {
 		return 0
 	}
@@ -35,7 +42,7 @@ func QuantileInPlace(vals []float64, q float64) float64 {
 	case q > 0:
 		k = int(q * float64(m-1))
 	}
-	if v := selectKth(finite, k); v != 0 {
+	if v := at(k); v != 0 {
 		return v
 	}
 	return 0

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -178,4 +179,55 @@ func TestViewQuantileEqualsSort(t *testing.T) {
 			t.Errorf("%s view: Median = %v, sorting gives %v", name, got, want)
 		}
 	}
+}
+
+// FuzzQuantileSorted holds the position rule to the selection: for fuzzed
+// float64 bit patterns (NaN, ±0, ±Inf, ties, none at all) and a fuzzed q,
+// QuantileSorted over the ascending non-NaN values must return the bits
+// QuantileInPlace returns, and the last of those values must be the
+// largest one, the maximum a scan with > keeps.
+func FuzzQuantileSorted(f *testing.F) {
+	bitsOf := func(vals ...float64) []byte {
+		var b []byte
+		for _, x := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add([]byte{}, 0.5)
+	f.Add(bitsOf(1, 2, 3, 4), 0.5)
+	f.Add(bitsOf(negZero, 0, negZero, 0), 0.5)
+	f.Add(bitsOf(0, negZero, 1), 0.0)
+	f.Add(bitsOf(math.NaN(), 2, math.NaN(), 2, 2), 0.25)
+	f.Add(bitsOf(math.Inf(1), math.Inf(-1), 0, math.NaN()), 1.0)
+	f.Add(bitsOf(math.NaN(), math.NaN()), 0.5)
+	f.Add(bitsOf(3, 1, 2), -1.0)
+	f.Add(bitsOf(3, 1, 2), math.NaN())
+	f.Fuzz(func(t *testing.T, raw []byte, q float64) {
+		var vals, sorted []float64
+		hi, seen := 0.0, false
+		for ; len(raw) >= 8; raw = raw[8:] {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			vals = append(vals, x)
+			if x != x {
+				continue
+			}
+			sorted = append(sorted, x)
+			if !seen || x > hi {
+				hi, seen = x, true
+			}
+		}
+		sort.Float64s(sorted)
+		m := len(sorted)
+		got := QuantileSorted(m, q, func(k int) float64 { return sorted[k] })
+		want := QuantileInPlace(vals, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("q=%v over %v: QuantileSorted = %v (%#x), QuantileInPlace = %v (%#x)",
+				q, sorted, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if m > 0 && sorted[m-1] != hi {
+			t.Fatalf("last of %v is %v, the largest value is %v", sorted, sorted[m-1], hi)
+		}
+	})
 }

@@ -27,6 +27,11 @@ func (v View) Len() int {
 	return len(v.rows)
 }
 
+// Whole reports whether the view is every row of its dataset, in row
+// order, as All returns it. A Restrict view is never whole, even when it
+// lists every row.
+func (v View) Whole() bool { return v.all }
+
 // Row returns the dataset row index of the i-th view row.
 func (v View) Row(i int) int {
 	if v.all {

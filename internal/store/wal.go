@@ -30,12 +30,33 @@ const (
 	recDelete   = 2 // payload: raw dataset ID (quarantine)
 )
 
+// ErrStoreFailed is returned by every append after one whose failure could
+// not be rolled back: the log may then hold a torn record, and a record
+// appended after it would be dropped by replay, so the log takes no more.
+var ErrStoreFailed = errors.New("store: wal failed")
+
+// walFile is the part of *os.File the log uses; tests substitute a fake
+// that injects faults.
+type walFile interface {
+	io.Writer
+	io.Seeker
+	io.Closer
+	Sync() error
+	Truncate(size int64) error
+}
+
 // wal is the append-only log file. All methods are called with the
 // store's mutex held.
 type wal struct {
-	f       *os.File
+	f       walFile
 	path    string
 	records int // records since the last reset (checkpoint pressure)
+	// end is the offset just past the last acknowledged record: where the
+	// next append writes, and where a failed one is rolled back to.
+	end int64
+	// failed is the ErrStoreFailed error of a failed rollback, returned by
+	// every later append; nil while the log is intact.
+	failed error
 }
 
 // openWAL opens (creating if absent) the log at path, positioned at its end.
@@ -44,15 +65,20 @@ func openWAL(path string) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &wal{f: f, path: path}, nil
+	return &wal{f: f, path: path, end: end}, nil
 }
 
-// append frames, writes, and fsyncs one record.
+// append frames, writes, and fsyncs one record. A failed write or fsync
+// is rolled back, so the log ends at its last acknowledged record again.
 func (w *wal) append(typ byte, payload []byte) error {
+	if w.failed != nil {
+		return w.failed
+	}
 	rec := make([]byte, 0, 4+1+4+len(payload)+4)
 	rec = binary.LittleEndian.AppendUint32(rec, walMagic)
 	rec = append(rec, typ)
@@ -61,13 +87,35 @@ func (w *wal) append(typ byte, payload []byte) error {
 	crc := crc32.Update(0, castagnoli, rec[4:])
 	rec = binary.LittleEndian.AppendUint32(rec, crc)
 	if _, err := w.f.Write(rec); err != nil {
-		return fmt.Errorf("store: wal write: %w", err)
+		return w.rollback(fmt.Errorf("store: wal write: %w", err))
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: wal fsync: %w", err)
+		return w.rollback(fmt.Errorf("store: wal fsync: %w", err))
 	}
+	w.end += int64(len(rec))
 	w.records++
 	return nil
+}
+
+// rollback undoes a failed append: it truncates the log back to the last
+// acknowledged record, fsyncs the cut and seeks to it, and returns cause.
+// A partial record left in place would make replay stop there and drop
+// every record acknowledged after it; without the seek the next write
+// would leave a zero-filled gap that replay reads as a torn tail. When the
+// rollback fails too, the log is marked failed.
+func (w *wal) rollback(cause error) error {
+	err := w.f.Truncate(w.end)
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err == nil {
+		_, err = w.f.Seek(w.end, io.SeekStart)
+	}
+	if err != nil {
+		w.failed = fmt.Errorf("%w: rolling back after %w: %w", ErrStoreFailed, cause, err)
+		return w.failed
+	}
+	return cause
 }
 
 // reset truncates the log after a checkpoint has captured its contents.
@@ -75,6 +123,7 @@ func (w *wal) reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
+	w.end = 0
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
